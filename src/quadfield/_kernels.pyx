@@ -75,43 +75,58 @@ def quartic_polar(double x, double y, double z, double t):
     return (x + y + z + t) * (x - y + z - t) * mu2
 
 
-# -- closed-form inverses -----------------------------------------------
+# -- inverses -------------------------------------------------------------
 
 def inv_circular(double x, double y, double z, double t):
-    cdef double q = quartic_circular(x, y, z, t)
-    return (
-        (x * (x * x + y * y + z * z - t * t) - 2 * y * z * t) / q,
-        (y * (-x * x - y * y + z * z - t * t) + 2 * x * z * t) / q,
-        (z * (-x * x + y * y - z * z - t * t) + 2 * x * y * t) / q,
-        (t * (-x * x + y * y + z * z + t * t) - 2 * x * y * z) / q,
-    )
+    cdef double a1 = x + t
+    cdef double b1 = y + z
+    cdef double a2 = x - t
+    cdef double b2 = y - z
+    cdef double n1 = a1 * a1 + b1 * b1
+    cdef double n2 = a2 * a2 + b2 * b2
+    a1 = a1 / n1
+    b1 = -b1 / n1
+    a2 = a2 / n2
+    b2 = -b2 / n2
+    return ((a1 + a2) / 2.0, (b1 + b2) / 2.0,
+            (b1 - b2) / 2.0, (a1 - a2) / 2.0)
 
 
 def inv_hyperbolic(double x, double y, double z, double t):
-    cdef double q = quartic_hyperbolic(x, y, z, t)
-    return (
-        (x * (x * x - y * y - z * z - t * t) + 2 * y * z * t) / q,
-        (y * (-x * x + y * y - z * z - t * t) + 2 * x * z * t) / q,
-        (z * (-x * x - y * y + z * z - t * t) + 2 * x * y * t) / q,
-        (t * (-x * x - y * y - z * z + t * t) + 2 * x * y * z) / q,
-    )
+    cdef double s0 = 1.0 / (x + y + z + t)
+    cdef double s1 = 1.0 / (x - y + z - t)
+    cdef double s2 = 1.0 / (x + y - z - t)
+    cdef double s3 = 1.0 / (x - y - z + t)
+    return ((s0 + s1 + s2 + s3) / 4.0, (s0 - s1 + s2 - s3) / 4.0,
+            (s0 + s1 - s2 - s3) / 4.0, (s0 - s1 - s2 + s3) / 4.0)
 
 
 def inv_planar(double x, double y, double z, double t):
-    cdef double q = quartic_planar(x, y, z, t)
-    return (
-        (x * (x * x + z * z) - z * (y * y - t * t) + 2 * x * y * t) / q,
-        -(y * (x * x - z * z) + t * (y * y + t * t) + 2 * x * z * t) / q,
-        (-z * (x * x + z * z) + x * (y * y - t * t) + 2 * y * z * t) / q,
-        -(t * (x * x - z * z) + y * (y * y + t * t) - 2 * x * y * z) / q,
-    )
+    cdef double a = (y - t) / SQRT2
+    cdef double b = (y + t) / SQRT2
+    cdef double a1 = x + a
+    cdef double b1 = z + b
+    cdef double a2 = x - a
+    cdef double b2 = -z + b
+    cdef double n1 = a1 * a1 + b1 * b1
+    cdef double n2 = a2 * a2 + b2 * b2
+    a1 = a1 / n1
+    b1 = -b1 / n1
+    a2 = a2 / n2
+    b2 = -b2 / n2
+    cdef double ymt = (a1 - a2) / SQRT2
+    cdef double ypt = (b1 + b2) / SQRT2
+    return ((a1 + a2) / 2.0, (ymt + ypt) / 2.0,
+            (b1 - b2) / 2.0, (ypt - ymt) / 2.0)
 
 
 def inv_polar(double x, double y, double z, double t):
-    cdef double q = quartic_polar(x, y, z, t)
-    return (
-        (x * (x * x - z * z) + z * (y * y + t * t) - 2 * x * y * t) / q,
-        (-y * (x * x + z * z) + t * (y * y - t * t) + 2 * x * z * t) / q,
-        (-z * (x * x - z * z) + x * (y * y + t * t) - 2 * y * z * t) / q,
-        (-t * (x * x + z * z) - y * (y * y - t * t) + 2 * x * y * z) / q,
-    )
+    cdef double vp = 1.0 / (x + y + z + t)
+    cdef double vm = 1.0 / (x - y + z - t)
+    cdef double a = x - z
+    cdef double b = y - t
+    cdef double n = a * a + b * b
+    a = a / n
+    b = -b / n
+    return (vp / 4.0 + vm / 4.0 + a / 2.0, vp / 4.0 - vm / 4.0 + b / 2.0,
+            vp / 4.0 + vm / 4.0 - a / 2.0, vp / 4.0 - vm / 4.0 - b / 2.0)

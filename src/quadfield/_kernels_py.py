@@ -6,9 +6,11 @@ module also calls these functions directly regardless of backend: its
 root arithmetic runs on complexified components, which the double-typed
 compiled kernels do not accept.
 
-Every function is a plain component formula — one line per output
-component — so each can be audited term by term.  No validation happens
-here; callers are responsible for kind dispatch and singularity checks.
+Products and amplitude quartics are plain component formulas — one line
+per output component — so each can be audited term by term; inverses
+split into the kind's lines and planes, take reciprocals and join back.
+No validation happens here; callers are responsible for kind dispatch
+and singularity checks.
 """
 
 _SQRT2 = 2.0 ** 0.5
@@ -83,43 +85,62 @@ def quartic_polar(x, y, z, t):
     return (x + y + z + t) * (x - y + z - t) * mu2
 
 
-# -- closed-form inverses -----------------------------------------------
+# -- inverses -------------------------------------------------------------
+# Split into the kind's real lines and complex planes, take each part's
+# reciprocal, 1/(a + ib) = (a - ib)/(a^2 + b^2), and join back.  Per-part
+# reciprocals stay accurate near the nodal sets, where the expanded cubic
+# adjugate formulas cancel.
 
 def inv_circular(x, y, z, t):
-    q = quartic_circular(x, y, z, t)
-    return (
-        (x * (x * x + y * y + z * z - t * t) - 2 * y * z * t) / q,
-        (y * (-x * x - y * y + z * z - t * t) + 2 * x * z * t) / q,
-        (z * (-x * x + y * y - z * z - t * t) + 2 * x * y * t) / q,
-        (t * (-x * x + y * y + z * z + t * t) - 2 * x * y * z) / q,
-    )
+    a1 = x + t
+    b1 = y + z
+    a2 = x - t
+    b2 = y - z
+    n1 = a1 * a1 + b1 * b1
+    n2 = a2 * a2 + b2 * b2
+    a1 = a1 / n1
+    b1 = -b1 / n1
+    a2 = a2 / n2
+    b2 = -b2 / n2
+    return ((a1 + a2) / 2.0, (b1 + b2) / 2.0,
+            (b1 - b2) / 2.0, (a1 - a2) / 2.0)
 
 
 def inv_hyperbolic(x, y, z, t):
-    q = quartic_hyperbolic(x, y, z, t)
-    return (
-        (x * (x * x - y * y - z * z - t * t) + 2 * y * z * t) / q,
-        (y * (-x * x + y * y - z * z - t * t) + 2 * x * z * t) / q,
-        (z * (-x * x - y * y + z * z - t * t) + 2 * x * y * t) / q,
-        (t * (-x * x - y * y - z * z + t * t) + 2 * x * y * z) / q,
-    )
+    s0 = 1.0 / (x + y + z + t)
+    s1 = 1.0 / (x - y + z - t)
+    s2 = 1.0 / (x + y - z - t)
+    s3 = 1.0 / (x - y - z + t)
+    return ((s0 + s1 + s2 + s3) / 4.0, (s0 - s1 + s2 - s3) / 4.0,
+            (s0 + s1 - s2 - s3) / 4.0, (s0 - s1 - s2 + s3) / 4.0)
 
 
 def inv_planar(x, y, z, t):
-    q = quartic_planar(x, y, z, t)
-    return (
-        (x * (x * x + z * z) - z * (y * y - t * t) + 2 * x * y * t) / q,
-        -(y * (x * x - z * z) + t * (y * y + t * t) + 2 * x * z * t) / q,
-        (-z * (x * x + z * z) + x * (y * y - t * t) + 2 * y * z * t) / q,
-        -(t * (x * x - z * z) + y * (y * y + t * t) - 2 * x * y * z) / q,
-    )
+    a = (y - t) / _SQRT2
+    b = (y + t) / _SQRT2
+    a1 = x + a
+    b1 = z + b
+    a2 = x - a
+    b2 = -z + b
+    n1 = a1 * a1 + b1 * b1
+    n2 = a2 * a2 + b2 * b2
+    a1 = a1 / n1
+    b1 = -b1 / n1
+    a2 = a2 / n2
+    b2 = -b2 / n2
+    ymt = (a1 - a2) / _SQRT2
+    ypt = (b1 + b2) / _SQRT2
+    return ((a1 + a2) / 2.0, (ymt + ypt) / 2.0,
+            (b1 - b2) / 2.0, (ypt - ymt) / 2.0)
 
 
 def inv_polar(x, y, z, t):
-    q = quartic_polar(x, y, z, t)
-    return (
-        (x * (x * x - z * z) + z * (y * y + t * t) - 2 * x * y * t) / q,
-        (-y * (x * x + z * z) + t * (y * y - t * t) + 2 * x * z * t) / q,
-        (-z * (x * x - z * z) + x * (y * y + t * t) - 2 * y * z * t) / q,
-        (-t * (x * x + z * z) - y * (y * y - t * t) + 2 * x * y * z) / q,
-    )
+    vp = 1.0 / (x + y + z + t)
+    vm = 1.0 / (x - y + z - t)
+    a = x - z
+    b = y - t
+    n = a * a + b * b
+    a = a / n
+    b = -b / n
+    return (vp / 4.0 + vm / 4.0 + a / 2.0, vp / 4.0 - vm / 4.0 + b / 2.0,
+            vp / 4.0 + vm / 4.0 - a / 2.0, vp / 4.0 - vm / 4.0 - b / 2.0)

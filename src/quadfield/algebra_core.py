@@ -14,9 +14,17 @@ algebras: each has nodal sets (hyperplanes of divisors of zero) where the
 amplitude quartic vanishes and no inverse exists.  ``singularity`` reports
 the distance to those sets; ``inverse`` refuses to divide near them.
 
-The component formulas live in a kernel module: the compiled extension
-``quadfield._kernels`` when it is importable, otherwise the line-for-line
-equivalent ``quadfield._kernels_py``.  ``BACKEND`` names the choice.
+``plane_split`` maps each algebra onto its real lines and complex planes
+(each map a unital ring homomorphism) and ``plane_join`` maps back; the
+nodal residuals are the moduli of the split parts.  ``Quad`` is a frozen
+``__slots__`` class whose ``__init__`` runs ``__post_init__`` (kind check,
+float coercion, one NaN/inf test) exactly once.
+
+The kernels — products, amplitude quartics, and inverses as per-plane
+reciprocals joined back — live in the compiled extension
+``quadfield._kernels`` when it is importable, otherwise in the
+line-for-line equivalent ``quadfield._kernels_py``.  ``BACKEND`` names
+the choice.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ __all__ = [
     "one",
     "zero",
     "units",
+    "plane_split",
+    "plane_join",
     "quad_to_dict",
     "quad_from_dict",
     "quad_to_json",
@@ -84,34 +94,82 @@ class AlgebraKind(enum.Enum):
     PLANAR = "planar"
     POLAR = "polar"
 
+    # Members are singletons, so identity hashing agrees with equality.
+    # Enum's own __hash__ hashes the name in Python code and made every
+    # per-kind table lookup cost about as much as a kernel call.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+# Module-level names for the members, for the per-value dispatch chains:
+# attribute lookup on an Enum class runs EnumType's __getattr__ hook and
+# costs about ten global lookups.
+_CIRCULAR = AlgebraKind.CIRCULAR
+_HYPERBOLIC = AlgebraKind.HYPERBOLIC
+_PLANAR = AlgebraKind.PLANAR
+
+
 class Quad:
     """One four-dimensional hypercomplex number.
 
-    Components are finite doubles; construction rejects NaN/inf.  Equality
-    is componentwise and requires identical kind.  Arithmetic operators
-    delegate to the module-level functions; mixing kinds raises ValueError.
+    Components are finite doubles; construction rejects NaN/inf.  The
+    value is frozen.  Equality is componentwise and requires identical
+    kind.  Arithmetic operators delegate to the module-level functions;
+    mixing kinds raises ValueError.
     """
 
-    kind: AlgebraKind
-    x: float
-    y: float
-    z: float
-    t: float
+    __slots__ = ("kind", "x", "y", "z", "t")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, AlgebraKind):
-            raise TypeError(f"kind must be AlgebraKind, got {self.kind!r}")
-        for name in ("x", "y", "z", "t"):
-            v = getattr(self, name)
-            f = float(v)
-            if not math.isfinite(f):
-                raise ValueError(f"component {name}={v!r} is not finite")
-            object.__setattr__(self, name, f)
+    def __init__(self, kind: AlgebraKind, x: float, y: float, z: float,
+                 t: float) -> None:
+        self.__post_init__(kind, x, y, z, t)
+
+    def __post_init__(self, kind, x, y, z, t) -> None:
+        if kind.__class__ is not AlgebraKind:
+            raise TypeError(f"kind must be AlgebraKind, got {kind!r}")
+        if x.__class__ is not float:
+            x = float(x)
+        if y.__class__ is not float:
+            y = float(y)
+        if z.__class__ is not float:
+            z = float(z)
+        if t.__class__ is not float:
+            t = float(t)
+        # NaN or inf in any component makes the sum NaN.
+        if (x - x) + (y - y) + (z - z) + (t - t) != 0.0:
+            for name, v in zip("xyzt", (x, y, z, t)):
+                if not math.isfinite(v):
+                    raise ValueError(f"component {name}={v!r} is not finite")
+        _set_kind(self, kind)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
+        _set_t(self, t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Quad:
+            return NotImplemented
+        return (self.kind is other.kind and self.x == other.x
+                and self.y == other.y and self.z == other.z
+                and self.t == other.t)
+
+    def __hash__(self):
+        return hash((self.kind, self.x, self.y, self.z, self.t))
+
+    def __repr__(self):
+        return (f"Quad(kind={self.kind!r}, x={self.x!r}, y={self.y!r}, "
+                f"z={self.z!r}, t={self.t!r})")
+
+    def __reduce__(self):
+        return (Quad, (self.kind, self.x, self.y, self.z, self.t))
 
     @property
     def components(self) -> tuple[float, float, float, float]:
@@ -143,6 +201,10 @@ class Quad:
 
     def __abs__(self) -> float:
         return modulus(self)
+
+
+_set_kind, _set_x, _set_y, _set_z, _set_t = (
+    Quad.__dict__[name].__set__ for name in Quad.__slots__)
 
 
 def _coerce(v: "Quad | float", kind: AlgebraKind) -> Quad:
@@ -276,37 +338,72 @@ def amplitude(u: Quad) -> Amplitude:
     return Amplitude(nu=nu, rho=nu ** 0.25)
 
 
-def _nodal_distances(u: Quad) -> list[tuple[str, float]]:
-    """(identifier, residual) for every nodal set of u's kind.
+def plane_split(u: Quad) -> tuple:
+    """The kind's decoupling as plain complex/real numbers.
 
-    Residuals are the kind's own nodal quantities (rho+/-, |s..|, |v+/-|,
-    mu+), so the scalar unit sits at residual 1 from every set.
+    Returns (w1, w2) complex for circular/planar, (s, s', s'', s''') real
+    for hyperbolic, (v+, v-, w1) with w1 complex for polar.  Each entry is
+    a unital ring homomorphism of the algebra, so any polynomial (and any
+    convergent power-series) identity may be evaluated per entry and
+    rejoined with :func:`plane_join`.
     """
+    kind = u.kind
     x, y, z, t = u.x, u.y, u.z, u.t
-    if u.kind is AlgebraKind.CIRCULAR:
-        return [
-            ("rho_plus", math.hypot(x + t, y + z)),
-            ("rho_minus", math.hypot(x - t, y - z)),
-        ]
-    if u.kind is AlgebraKind.HYPERBOLIC:
-        return [
-            ("s", abs(x + y + z + t)),
-            ("s_prime", abs(x - y + z - t)),
-            ("s_double_prime", abs(x + y - z - t)),
-            ("s_triple_prime", abs(x - y - z + t)),
-        ]
-    if u.kind is AlgebraKind.PLANAR:
+    if kind is _CIRCULAR:
+        return (complex(x + t, y + z), complex(x - t, y - z))
+    if kind is _HYPERBOLIC:
+        return (x + y + z + t, x - y + z - t, x + y - z - t, x - y - z + t)
+    if kind is _PLANAR:
         a = (y - t) / _SQRT2
         b = (y + t) / _SQRT2
-        return [
-            ("rho_plus", math.hypot(x + a, z + b)),
-            ("rho_minus", math.hypot(x - a, z - b)),
-        ]
-    return [
-        ("v_plus", abs(x + y + z + t)),
-        ("v_minus", abs(x - y + z - t)),
-        ("mu_plus", math.hypot(x - z, y - t)),
-    ]
+        return (complex(x + a, z + b), complex(x - a, -z + b))
+    return (x + y + z + t, x - y + z - t, complex(x - z, y - t))
+
+
+def plane_join(kind: AlgebraKind, parts: tuple) -> Quad:
+    """Inverse of :func:`plane_split`."""
+    if kind is _CIRCULAR:
+        w1, w2 = parts
+        return Quad(kind, (w1.real + w2.real) / 2.0, (w1.imag + w2.imag) / 2.0,
+                    (w1.imag - w2.imag) / 2.0, (w1.real - w2.real) / 2.0)
+    if kind is _HYPERBOLIC:
+        s, sp, spp, sppp = parts
+        return Quad(kind, (s + sp + spp + sppp) / 4.0,
+                    (s - sp + spp - sppp) / 4.0, (s + sp - spp - sppp) / 4.0,
+                    (s - sp - spp + sppp) / 4.0)
+    if kind is _PLANAR:
+        w1, w2 = parts
+        ymt = (w1.real - w2.real) / _SQRT2
+        ypt = (w1.imag + w2.imag) / _SQRT2
+        return Quad(kind, (w1.real + w2.real) / 2.0, (ymt + ypt) / 2.0,
+                    (w1.imag - w2.imag) / 2.0, (ypt - ymt) / 2.0)
+    vp, vm, w1 = parts
+    return Quad(kind, vp / 4.0 + vm / 4.0 + w1.real / 2.0,
+                vp / 4.0 - vm / 4.0 + w1.imag / 2.0,
+                vp / 4.0 + vm / 4.0 - w1.real / 2.0,
+                vp / 4.0 - vm / 4.0 - w1.imag / 2.0)
+
+
+# Nodal sets named in plane_split order: each set is where one split part
+# vanishes, and its residual is that part's modulus (rho+/-, |s..|, |v+/-|,
+# mu+), so the scalar unit sits at residual 1 from every set.
+_NODAL_SETS = {
+    AlgebraKind.CIRCULAR: ("rho_plus", "rho_minus"),
+    AlgebraKind.HYPERBOLIC: ("s", "s_prime", "s_double_prime",
+                             "s_triple_prime"),
+    AlgebraKind.PLANAR: ("rho_plus", "rho_minus"),
+    AlgebraKind.POLAR: ("v_plus", "v_minus", "mu_plus"),
+}
+
+
+def _residuals(u: Quad, tol: float) -> list[float]:
+    """Nodal residuals of u normalized by max(modulus(u), tol)."""
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    scale_ref = max(modulus(u), tol)
+    # math.hypot, not abs(): complex abs rounds differently in the last bit.
+    return [(math.hypot(p.real, p.imag) if p.__class__ is complex else abs(p))
+            / scale_ref for p in plane_split(u)]
 
 
 def singularity(u: Quad, tol: float = DEFAULT_TOL) -> SingularityReport:
@@ -315,29 +412,22 @@ def singularity(u: Quad, tol: float = DEFAULT_TOL) -> SingularityReport:
     Residuals are normalized by max(modulus(u), tol) so the report is
     scale-free; a condition fires when its normalized residual <= tol.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    scale_ref = max(modulus(u), tol)
-    fired: list[str] = []
-    margin = math.inf
-    for name, dist in _nodal_distances(u):
-        normalized = dist / scale_ref
-        margin = min(margin, normalized)
-        if normalized <= tol:
-            fired.append(name)
-    return SingularityReport(
-        singular=margin <= tol, nodal_sets=tuple(fired), margin=margin
-    )
+    residuals = _residuals(u, tol)
+    margin = min(residuals)
+    fired = tuple(name for name, r in zip(_NODAL_SETS[u.kind], residuals)
+                  if r <= tol)
+    return SingularityReport(singular=margin <= tol, nodal_sets=fired,
+                             margin=margin)
 
 
 def inverse(u: Quad, tol: float = DEFAULT_TOL) -> Quad:
-    """Multiplicative inverse via the kind's closed formulas.
+    """Multiplicative inverse: the join of the per-plane reciprocals.
 
     Raises:
         SingularValue: if u is within tol (normalized) of any nodal set.
     """
-    report = singularity(u, tol)
-    if report.singular:
+    if min(_residuals(u, tol)) <= tol:
+        report = singularity(u, tol)
         raise SingularValue(
             f"{u.kind} value {u.components} lies on nodal set(s) "
             f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})"
@@ -356,14 +446,17 @@ def pow_int(u: Quad, m: int, tol: float = DEFAULT_TOL) -> Quad:
     m = int(m)
     if m < 0:
         return pow_int(inverse(u, tol), -m)
-    result = one(u.kind)
+    if m == 0:
+        return one(u.kind)
+    result = None
     base = u
-    while m:
+    while True:
         if m & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = base if result is None else mul(result, base)
         m >>= 1
-    return result
+        if not m:
+            return result
+        base = mul(base, base)
 
 
 # -- JSON interchange ----------------------------------------------------

@@ -10,10 +10,11 @@ decouples:
 * polar — two real lines v+, v- (idempotents e+, e-) plus one 2-D complex
   plane (v1, v1~) spanned by (e1, e1~).
 
-``plane_split``/``plane_join`` expose the decoupling as plain
-complex/real numbers; every map is an exact unital ring homomorphism per
-plane, which is what makes the exponential forms, logarithms, series and
-factorizations in the other modules one-plane-at-a-time computations.
+``plane_split``/``plane_join`` (defined in ``algebra_core`` and
+re-exported here) expose the decoupling as plain complex/real numbers;
+every map is an exact unital ring homomorphism per plane, which is what
+makes the exponential forms, logarithms, series and factorizations in the
+other modules one-plane-at-a-time computations.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus
+from .algebra_core import (
+    AlgebraKind,
+    Quad,
+    QuadfieldError,
+    _NODAL_SETS,
+    modulus,
+    plane_join,
+    plane_split,
+)
 
 __all__ = [
     "CanonicalCircular",
@@ -272,56 +281,6 @@ def canonical_mul(c1: CanonicalCoords, c2: CanonicalCoords) -> CanonicalCoords:
     )
 
 
-def plane_split(u: Quad) -> tuple:
-    """The kind's decoupling as plain complex/real numbers.
-
-    Returns (w1, w2) complex for circular/planar, (s, s', s'', s''') real
-    for hyperbolic, (v+, v-, w1) with w1 complex for polar.  Each entry is
-    a unital ring homomorphism of the algebra, so any polynomial (and any
-    convergent power-series) identity may be evaluated per entry and
-    rejoined with :func:`plane_join`.
-    """
-    x, y, z, t = u.components
-    if u.kind is AlgebraKind.CIRCULAR:
-        return (complex(x + t, y + z), complex(x - t, y - z))
-    if u.kind is AlgebraKind.HYPERBOLIC:
-        return (x + y + z + t, x - y + z - t, x + y - z - t, x - y - z + t)
-    if u.kind is AlgebraKind.PLANAR:
-        a = (y - t) / _SQRT2
-        b = (y + t) / _SQRT2
-        return (complex(x + a, z + b), complex(x - a, -z + b))
-    return (x + y + z + t, x - y + z - t, complex(x - z, y - t))
-
-
-def plane_join(kind: AlgebraKind, parts: tuple) -> Quad:
-    """Inverse of :func:`plane_split`."""
-    if kind is AlgebraKind.CIRCULAR:
-        w1, w2 = parts
-        return Quad(
-            kind,
-            (w1.real + w2.real) / 2.0,
-            (w1.imag + w2.imag) / 2.0,
-            (w1.imag - w2.imag) / 2.0,
-            (w1.real - w2.real) / 2.0,
-        )
-    if kind is AlgebraKind.HYPERBOLIC:
-        s, sp, spp, sppp = parts
-        return from_canonical(CanonicalHyperbolic(s, sp, spp, sppp))
-    if kind is AlgebraKind.PLANAR:
-        w1, w2 = parts
-        ymt = (w1.real - w2.real) / _SQRT2
-        ypt = (w1.imag + w2.imag) / _SQRT2
-        return Quad(
-            kind,
-            (w1.real + w2.real) / 2.0,
-            (ymt + ypt) / 2.0,
-            (w1.imag - w2.imag) / 2.0,
-            (ypt - ymt) / 2.0,
-        )
-    vp, vm, w1 = parts
-    return from_canonical(CanonicalPolar(vp, vm, w1.real, w1.imag))
-
-
 # -- exponential form ------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -396,6 +355,24 @@ def _angle(y: float, x: float) -> float:
     return math.atan2(y, x) % _TWO_PI
 
 
+def _domain_split(u: Quad, what: str) -> tuple:
+    """plane_split(u) after checking that u lies in the exp-form domain.
+
+    The domain is every real line part > 0 and every plane part != 0.
+
+    Raises:
+        DomainError: naming the first violated condition, for ``what``.
+    """
+    parts = plane_split(u)
+    for name, p in zip(_NODAL_SETS[u.kind], parts):
+        if p.__class__ is complex:
+            if p == 0:
+                raise DomainError(f"{u.kind} {what} requires {name} > 0; got 0")
+        elif p <= 0.0:
+            raise DomainError(f"{u.kind} {what} requires {name} > 0; got {p!r}")
+    return parts
+
+
 def exp_form(u: Quad) -> ExpForm:
     """Extract amplitude and angles; rejects values outside the domain.
 
@@ -404,39 +381,10 @@ def exp_form(u: Quad) -> ExpForm:
             rejected input is always within rounding of a nodal set or on
             the wrong side of one).
     """
-    x, y, z, t = u.components
     kind = u.kind
-    if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
-        if kind is AlgebraKind.CIRCULAR:
-            pr, pi_ = x + t, y + z
-            mr, mi = x - t, y - z
-        else:
-            a = (y - t) / _SQRT2
-            b = (y + t) / _SQRT2
-            pr, pi_ = x + a, z + b
-            mr, mi = x - a, -z + b
-        rho_plus = math.hypot(pr, pi_)
-        rho_minus = math.hypot(mr, mi)
-        if rho_plus <= 0.0:
-            raise DomainError(f"{kind} exp form requires rho_plus > 0; got 0")
-        if rho_minus <= 0.0:
-            raise DomainError(f"{kind} exp form requires rho_minus > 0; got 0")
-        return ExpForm(
-            kind=kind,
-            rho=math.sqrt(rho_plus * rho_minus),
-            phi=_angle(pi_, pr),
-            chi=_angle(mi, mr),
-            psi=math.atan2(rho_plus, rho_minus),
-        )
+    parts = _domain_split(u, "exp form")
     if kind is AlgebraKind.HYPERBOLIC:
-        comps = plane_split(u)
-        names = ("s", "s_prime", "s_double_prime", "s_triple_prime")
-        for name, value in zip(names, comps):
-            if value <= 0.0:
-                raise DomainError(
-                    f"hyperbolic exp form requires {name} > 0; got {value!r}"
-                )
-        s, sp, spp, sppp = (math.log(v) for v in comps)
+        s, sp, spp, sppp = (math.log(v) for v in parts)
         return ExpForm(
             kind=kind,
             mu=math.exp((s + sp + spp + sppp) / 4.0),
@@ -444,20 +392,25 @@ def exp_form(u: Quad) -> ExpForm:
             z1=(s + sp - spp - sppp) / 4.0,
             t1=(s - sp - spp + sppp) / 4.0,
         )
-    vp, vm, w1 = plane_split(u)
-    if vp <= 0.0:
-        raise DomainError(f"polar exp form requires v_plus > 0; got {vp!r}")
-    if vm <= 0.0:
-        raise DomainError(f"polar exp form requires v_minus > 0; got {vm!r}")
-    mu_plus = abs(w1)
-    if mu_plus <= 0.0:
-        raise DomainError("polar exp form requires mu_plus > 0; got 0")
+    if kind is AlgebraKind.POLAR:
+        vp, vm, w1 = parts
+        mu_plus = abs(w1)
+        return ExpForm(
+            kind=kind,
+            rho=(vp * vm * mu_plus * mu_plus) ** 0.25,
+            theta_plus=math.atan2(_SQRT2 * mu_plus, vp),
+            theta_minus=math.atan2(_SQRT2 * mu_plus, vm),
+            phi=_angle(w1.imag, w1.real),
+        )
+    w1, w2 = parts
+    rho_plus = math.hypot(w1.real, w1.imag)
+    rho_minus = math.hypot(w2.real, w2.imag)
     return ExpForm(
         kind=kind,
-        rho=(vp * vm * mu_plus * mu_plus) ** 0.25,
-        theta_plus=math.atan2(_SQRT2 * mu_plus, vp),
-        theta_minus=math.atan2(_SQRT2 * mu_plus, vm),
+        rho=math.sqrt(rho_plus * rho_minus),
         phi=_angle(w1.imag, w1.real),
+        chi=_angle(w2.imag, w2.real),
+        psi=math.atan2(rho_plus, rho_minus),
     )
 
 
@@ -531,13 +484,7 @@ def trig_form(u: Quad) -> TrigForm:
         f = exp_form(u)
         return TrigForm(kind=kind, d=d, phi=f.phi, chi=f.chi, psi=f.psi)
     if kind is AlgebraKind.HYPERBOLIC:
-        s, sp, spp, sppp = plane_split(u)
-        for name, value in zip(("s", "s_prime", "s_double_prime",
-                                "s_triple_prime"), (s, sp, spp, sppp)):
-            if value <= 0.0:
-                raise DomainError(
-                    f"hyperbolic trig form requires {name} > 0; got {value!r}"
-                )
+        s, sp, spp, sppp = _domain_split(u, "trig form")
         return TrigForm(
             kind=kind,
             d=d,
@@ -545,18 +492,11 @@ def trig_form(u: Quad) -> TrigForm:
             chi=math.atan2(sppp, spp),
             psi=math.atan2(math.hypot(spp, sppp), math.hypot(s, sp)),
         )
-    vp, vm, w1 = plane_split(u)
-    if vp <= 0.0:
-        raise DomainError(f"polar trig form requires v_plus > 0; got {vp!r}")
-    if vm <= 0.0:
-        raise DomainError(f"polar trig form requires v_minus > 0; got {vm!r}")
-    mu_plus = abs(w1)
-    if mu_plus <= 0.0:
-        raise DomainError("polar trig form requires mu_plus > 0; got 0")
+    vp, vm, w1 = _domain_split(u, "trig form")
     return TrigForm(
         kind=kind,
         d=d,
-        theta=math.atan2(math.hypot(vp, vm) / 2.0, mu_plus / _SQRT2),
+        theta=math.atan2(math.hypot(vp, vm) / 2.0, abs(w1) / _SQRT2),
         lam=math.atan2(vm, vp),
         phi=_angle(w1.imag, w1.real),
     )
@@ -565,13 +505,7 @@ def trig_form(u: Quad) -> TrigForm:
 def from_trig_form(f: TrigForm) -> Quad:
     """Reconstruct the Quad from its trigonometric form."""
     kind = f.kind
-    if kind is AlgebraKind.CIRCULAR:
-        w1 = f.d * _SQRT2 * math.sin(f.psi) * complex(math.cos(f.phi),
-                                                      math.sin(f.phi))
-        w2 = f.d * _SQRT2 * math.cos(f.psi) * complex(math.cos(f.chi),
-                                                      math.sin(f.chi))
-        return plane_join(kind, (w1, w2))
-    if kind is AlgebraKind.PLANAR:
+    if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
         w1 = f.d * _SQRT2 * math.sin(f.psi) * complex(math.cos(f.phi),
                                                       math.sin(f.phi))
         w2 = f.d * _SQRT2 * math.cos(f.psi) * complex(math.cos(f.chi),

@@ -3,8 +3,10 @@
 Subcommands: eval, expform, factor, integrate, cosexp, matrix.  Quads are
 passed inline as comma-separated x,y,z,t; structured payloads are JSON.
 Exit codes: 0 success, 1 usage errors, 2 domain errors (the error is
-printed as a one-line JSON object so scripts can parse it).  The env var
-QUADFIELD_TOL overrides the default singularity tolerance.
+printed as a one-line JSON object so scripts can parse it).  A cosexp
+table is capped at ``COSEXP_MAX_ROWS`` rows and an ``integrate --loop``
+circle at ``LOOP_MAX_SAMPLES`` samples; asking for more is a usage error.
+The env var QUADFIELD_TOL overrides the default singularity tolerance.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ from .polynomial import (
 __all__ = ["main"]
 
 _KIND_CHOICES = [k.value for k in AlgebraKind]
+
+# Work caps: a short command line must not ask for unbounded work.
+COSEXP_MAX_ROWS = 10_000      # rows of one cosexp table
+LOOP_MAX_SAMPLES = 1 << 14    # samples of one integrate --loop circle
 
 
 class _UsageError(Exception):
@@ -224,11 +230,15 @@ def _parse_loop(kind: AlgebraKind, text: str) -> Loop:
         radius = float(spec["radius"])
     except KeyError as exc:
         raise _UsageError(f"circle loop spec needs {exc.args[0]!r}") from exc
+    samples = int(spec.get("samples", 4096))
+    if samples > LOOP_MAX_SAMPLES:
+        raise _UsageError(
+            f"loop samples {samples} exceed the cap of {LOOP_MAX_SAMPLES}")
     return Loop.circle(
         center,
         radius,
         plane=spec.get("plane", "plus"),
-        samples=int(spec.get("samples", 4096)),
+        samples=samples,
         psi=float(spec.get("psi", math.pi / 4.0)),
         fixed_angle=float(spec.get("fixed_angle", 0.0)),
     )
@@ -276,10 +286,17 @@ def _cmd_cosexp(args) -> str:
     if family is None:
         raise _UsageError(f"--family must be f or g, got {args.family!r}")
     make = elementary.f4 if family == "f" else elementary.g4
+    if not all(map(math.isfinite, (args.start, args.stop, args.step))):
+        raise _UsageError("--from, --to and --step must be finite")
     if args.step <= 0:
         raise _UsageError(f"--step must be positive, got {args.step!r}")
     if args.stop < args.start:
         raise _UsageError("--to must be >= --from")
+    # Rows are the i with i <= (stop - start)/step + 1e-9, so this bound
+    # keeps the table at or below the cap.
+    if (args.stop - args.start) / args.step > COSEXP_MAX_ROWS - 1:
+        raise _UsageError(f"--from/--to/--step give more than "
+                          f"{COSEXP_MAX_ROWS} rows")
     columns = ["x"] + [f"{family}4{k}" for k in range(4)]
     rows = []
     i = 0

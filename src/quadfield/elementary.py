@@ -8,11 +8,14 @@ two families of four-dimensional cosexponential functions:
 * g4k (polar family) — the mod-4 splittings of the plain exponential
   series; closed forms are half-sums of cosh/cos and sinh/sin.
 
-exp is assembled from the component factorization
-exp(u) = e^x * exp(alpha y) * exp(beta z) * exp(gamma t), where each factor
-has a closed component form; the power series is kept only as a test
-oracle.  log works one decoupled plane at a time (the plane maps are ring
-homomorphisms) and takes every azimuthal angle in [0, 2*pi).
+exp, cos, sin, cosh and sinh are evaluated one decoupled plane at a time
+(the plane maps are ring homomorphisms) through ``_planewise``: split,
+apply the ``cmath`` function on each complex plane and the ``math``
+function on each real line, join.  ``exp_factored`` keeps the component
+factorization exp(u) = e^x * exp(alpha y) * exp(beta z) * exp(gamma t) as
+an oracle; the addition-theorem fold over per-unit tables is a test
+oracle only and never runs here.  log also works one plane at a time and
+takes every azimuthal angle in [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -22,12 +25,21 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraKind, Quad, mul, scale
-from .canonical import DomainError, plane_join, plane_split
+from .algebra_core import (
+    AlgebraKind,
+    Quad,
+    QuadfieldError,
+    mul,
+    plane_join,
+    plane_split,
+    scale,
+)
+from .canonical import _domain_split
 
 __all__ = [
     "CosexpFamily",
     "CosexpKind",
+    "ResultOverflow",
     "f4",
     "g4",
     "cosexp",
@@ -44,6 +56,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+
+
+class ResultOverflow(QuadfieldError, OverflowError):
+    """Raised when a finite argument gives a value beyond the double range."""
 
 
 class CosexpFamily(enum.Enum):
@@ -77,7 +93,24 @@ def g4(k: int) -> CosexpKind:
 
 
 def cosexp(kind: CosexpKind, x: float) -> float:
-    """Closed-form value of f4k(x) or g4k(x)."""
+    """Closed-form value of f4k(x) or g4k(x).
+
+    Raises:
+        ResultOverflow: if the value lies beyond the range of a double.
+    """
+    try:
+        value = _cosexp_closed(kind, x)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ResultOverflow(
+            f"{kind.family.value} k={kind.k} at x={x!r} exceeds the range "
+            f"of a double"
+        )
+    return value
+
+
+def _cosexp_closed(kind: CosexpKind, x: float) -> float:
     if kind.family is CosexpFamily.PLANAR_F:
         a = x / _SQRT2
         if kind.k == 0:
@@ -152,6 +185,18 @@ def _exp_unit_factors(u: Quad) -> tuple[Quad, Quad, Quad]:
     )
 
 
+def _planewise(u: Quad, complex_fn, real_fn) -> Quad:
+    """Evaluate an analytic function on each split part of u and join.
+
+    Each plane map is a continuous unital ring homomorphism, so it carries
+    any convergent power series in u to the same series in the part.
+    """
+    return plane_join(u.kind, [
+        complex_fn(p) if p.__class__ is complex else real_fn(p)
+        for p in plane_split(u)
+    ])
+
+
 def exp(u: Quad) -> Quad:
     """Exponential; equals e^x times the unit-direction factors.
 
@@ -162,11 +207,7 @@ def exp(u: Quad) -> Quad:
     angle components alone reach 2*pi*n).  The per-plane exponentials are
     the same analytic function with no cancellation.
     """
-    parts = plane_split(u)
-    return plane_join(u.kind, tuple(
-        cmath.exp(p) if isinstance(p, complex) else math.exp(p)
-        for p in parts
-    ))
+    return _planewise(u, cmath.exp, math.exp)
 
 
 def exp_factored(u: Quad) -> Quad:
@@ -181,11 +222,8 @@ def exp_factored(u: Quad) -> Quad:
 
 # -- log / powers ------------------------------------------------------------
 
-def _principal_log(w: complex, plane: str, kind: AlgebraKind) -> complex:
-    r = abs(w)
-    if r <= 0.0:
-        raise DomainError(f"{kind} log requires {plane} > 0; got 0")
-    return complex(math.log(r), math.atan2(w.imag, w.real) % _TWO_PI)
+def _log_plane(w: complex) -> complex:
+    return complex(math.log(abs(w)), math.atan2(w.imag, w.real) % _TWO_PI)
 
 
 def log(u: Quad) -> Quad:
@@ -195,28 +233,10 @@ def log(u: Quad) -> Quad:
         DomainError: on or outside the kind's validity domain (same domain
             as exp_form).
     """
-    kind = u.kind
-    parts = plane_split(u)
-    if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
-        w1, w2 = parts
-        return plane_join(kind, (_principal_log(w1, "rho_plus", kind),
-                                 _principal_log(w2, "rho_minus", kind)))
-    if kind is AlgebraKind.HYPERBOLIC:
-        names = ("s", "s_prime", "s_double_prime", "s_triple_prime")
-        for name, value in zip(names, parts):
-            if value <= 0.0:
-                raise DomainError(
-                    f"hyperbolic log requires {name} > 0; got {value!r}"
-                )
-        return plane_join(kind, tuple(math.log(v) for v in parts))
-    vp, vm, w1 = parts
-    if vp <= 0.0:
-        raise DomainError(f"polar log requires v_plus > 0; got {vp!r}")
-    if vm <= 0.0:
-        raise DomainError(f"polar log requires v_minus > 0; got {vm!r}")
-    return plane_join(
-        kind, (math.log(vp), math.log(vm), _principal_log(w1, "mu_plus", kind))
-    )
+    return plane_join(u.kind, [
+        _log_plane(p) if p.__class__ is complex else math.log(p)
+        for p in _domain_split(u, "log")
+    ])
 
 
 def pow_real(u: Quad, n: float) -> Quad:
@@ -226,122 +246,17 @@ def pow_real(u: Quad, n: float) -> Quad:
 
 # -- trigonometric / hyperbolic ----------------------------------------------
 
-def _unit_cos_sin(kind: AlgebraKind, idx: int, v: float) -> tuple[Quad, Quad]:
-    """(cos, sin) of v times the idx-th imaginary unit (1=alpha, 2=beta, 3=gamma)."""
-    if kind is AlgebraKind.CIRCULAR:
-        if idx == 1:
-            return (Quad(kind, math.cosh(v), 0, 0, 0),
-                    Quad(kind, 0, math.sinh(v), 0, 0))
-        if idx == 2:
-            return (Quad(kind, math.cosh(v), 0, 0, 0),
-                    Quad(kind, 0, 0, math.sinh(v), 0))
-        return (Quad(kind, math.cos(v), 0, 0, 0),
-                Quad(kind, 0, 0, 0, math.sin(v)))
-    if kind is AlgebraKind.HYPERBOLIC:
-        c = Quad(kind, math.cos(v), 0, 0, 0)
-        s = math.sin(v)
-        if idx == 1:
-            return (c, Quad(kind, 0, s, 0, 0))
-        if idx == 2:
-            return (c, Quad(kind, 0, 0, s, 0))
-        return (c, Quad(kind, 0, 0, 0, s))
-    if kind is AlgebraKind.PLANAR:
-        if idx == 1:
-            f = [cosexp(f4(k), v) for k in range(4)]
-            return (Quad(kind, f[0], 0, -f[2], 0),
-                    Quad(kind, 0, f[1], 0, -f[3]))
-        if idx == 2:
-            return (Quad(kind, math.cosh(v), 0, 0, 0),
-                    Quad(kind, 0, 0, math.sinh(v), 0))
-        f = [cosexp(f4(k), v) for k in range(4)]
-        return (Quad(kind, f[0], 0, f[2], 0),
-                Quad(kind, 0, -f[3], 0, f[1]))
-    if idx == 2:
-        return (Quad(kind, math.cos(v), 0, 0, 0),
-                Quad(kind, 0, 0, math.sin(v), 0))
-    g = [cosexp(g4(k), v) for k in range(4)]
-    c = Quad(kind, g[0], 0, -g[2], 0)
-    if idx == 1:
-        return (c, Quad(kind, 0, g[1], 0, -g[3]))
-    return (c, Quad(kind, 0, -g[3], 0, g[1]))
-
-
-def _unit_cosh_sinh(kind: AlgebraKind, idx: int, v: float) -> tuple[Quad, Quad]:
-    """(cosh, sinh) of v times the idx-th imaginary unit."""
-    if kind is AlgebraKind.CIRCULAR:
-        if idx == 1:
-            return (Quad(kind, math.cos(v), 0, 0, 0),
-                    Quad(kind, 0, math.sin(v), 0, 0))
-        if idx == 2:
-            return (Quad(kind, math.cos(v), 0, 0, 0),
-                    Quad(kind, 0, 0, math.sin(v), 0))
-        return (Quad(kind, math.cosh(v), 0, 0, 0),
-                Quad(kind, 0, 0, 0, math.sinh(v)))
-    if kind is AlgebraKind.HYPERBOLIC:
-        c = Quad(kind, math.cosh(v), 0, 0, 0)
-        s = math.sinh(v)
-        if idx == 1:
-            return (c, Quad(kind, 0, s, 0, 0))
-        if idx == 2:
-            return (c, Quad(kind, 0, 0, s, 0))
-        return (c, Quad(kind, 0, 0, 0, s))
-    if kind is AlgebraKind.PLANAR:
-        if idx == 1:
-            f = [cosexp(f4(k), v) for k in range(4)]
-            return (Quad(kind, f[0], 0, f[2], 0),
-                    Quad(kind, 0, f[1], 0, f[3]))
-        if idx == 2:
-            return (Quad(kind, math.cos(v), 0, 0, 0),
-                    Quad(kind, 0, 0, math.sin(v), 0))
-        f = [cosexp(f4(k), v) for k in range(4)]
-        return (Quad(kind, f[0], 0, -f[2], 0),
-                Quad(kind, 0, f[3], 0, f[1]))
-    if idx == 2:
-        return (Quad(kind, math.cosh(v), 0, 0, 0),
-                Quad(kind, 0, 0, math.sinh(v), 0))
-    g = [cosexp(g4(k), v) for k in range(4)]
-    c = Quad(kind, g[0], 0, g[2], 0)
-    if idx == 1:
-        return (c, Quad(kind, 0, g[1], 0, g[3]))
-    return (c, Quad(kind, 0, g[3], 0, g[1]))
-
-
-def _fold_cos_sin(u: Quad) -> tuple[Quad, Quad]:
-    """cos/sin of x + alpha y + beta z + gamma t via the addition theorem.
-
-    Grouping order is fixed (x, then alpha y, then beta z, then gamma t)
-    so results are bit-reproducible.
-    """
-    kind = u.kind
-    c = Quad(kind, math.cos(u.x), 0, 0, 0)
-    s = Quad(kind, math.sin(u.x), 0, 0, 0)
-    for idx, v in ((1, u.y), (2, u.z), (3, u.t)):
-        ci, si = _unit_cos_sin(kind, idx, v)
-        c, s = mul(c, ci) - mul(s, si), mul(s, ci) + mul(c, si)
-    return c, s
-
-
-def _fold_cosh_sinh(u: Quad) -> tuple[Quad, Quad]:
-    kind = u.kind
-    c = Quad(kind, math.cosh(u.x), 0, 0, 0)
-    s = Quad(kind, math.sinh(u.x), 0, 0, 0)
-    for idx, v in ((1, u.y), (2, u.z), (3, u.t)):
-        ci, si = _unit_cosh_sinh(kind, idx, v)
-        c, s = mul(c, ci) + mul(s, si), mul(s, ci) + mul(c, si)
-    return c, s
-
-
 def cos(u: Quad) -> Quad:
-    return _fold_cos_sin(u)[0]
+    return _planewise(u, cmath.cos, math.cos)
 
 
 def sin(u: Quad) -> Quad:
-    return _fold_cos_sin(u)[1]
+    return _planewise(u, cmath.sin, math.sin)
 
 
 def cosh(u: Quad) -> Quad:
-    return _fold_cosh_sinh(u)[0]
+    return _planewise(u, cmath.cosh, math.cosh)
 
 
 def sinh(u: Quad) -> Quad:
-    return _fold_cosh_sinh(u)[1]
+    return _planewise(u, cmath.sinh, math.sinh)

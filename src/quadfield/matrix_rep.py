@@ -3,9 +3,11 @@
 represent(u) is the matrix of multiplication by u, so it is an algebra
 homomorphism and its determinant equals the kind's quartic amplitude
 (rho**4 or nu) — vanishing exactly on the nodal sets.  A fixed orthogonal
-change of basis T (rows = the canonical directions) block-diagonalizes
-every represent(u) simultaneously: two 2x2 rotation-like blocks for
-circular/planar, a full diagonal for hyperbolic, and 1+1+2 for polar.
+change of basis T (rows = the canonical directions, ``CHANGE_OF_BASIS``)
+block-diagonalizes every represent(u) simultaneously: two 2x2
+rotation-like blocks for circular/planar, a full diagonal for hyperbolic,
+and 1+1+2 for polar.  ``block_diagonalize`` writes those blocks straight
+from the ``plane_split`` values instead of forming T * represent(u) * T^-1.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraKind, Quad
+from .algebra_core import AlgebraKind, Quad, plane_split
 
 __all__ = [
     "Matrix4",
@@ -141,12 +143,22 @@ CHANGE_OF_BASIS: dict[AlgebraKind, tuple[Matrix4, Matrix4]] = _build_change_of_b
 
 
 def block_diagonalize(u: Quad) -> Matrix4:
-    """T * represent(u) * T^-1 with the kind's fixed T.
+    """T * represent(u) * T^-1 with the kind's fixed T, read off the split.
 
-    Circular/planar: two 2x2 blocks carrying the plane projections;
-    hyperbolic: diag(s, s', s'', s'''); polar: diag(v+, v-) plus the
-    (v1, v1~) rotation-like block.  Off-block entries are zero to
-    rounding (<= 1e-12 for desk-scale inputs).
+    T is orthonormal with the canonical directions as rows, so each
+    complex part a + ib of ``plane_split(u)`` is the 2x2 block
+    [[a, b], [-b, a]] and each real line value a diagonal entry, in split
+    order.  Off-block entries are exactly zero; no matrix product is formed.
     """
-    t, t_inv = CHANGE_OF_BASIS[u.kind]
-    return t @ represent(u) @ t_inv
+    m = [0.0] * 16
+    i = 0  # row/column where the next part's block starts
+    for p in plane_split(u):
+        if p.__class__ is complex:
+            m[5 * i] = m[5 * i + 5] = p.real
+            m[5 * i + 1] = p.imag
+            m[5 * i + 4] = -p.imag
+            i += 2
+        else:
+            m[5 * i] = p
+            i += 1
+    return Matrix4(tuple(m))

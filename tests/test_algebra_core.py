@@ -1,11 +1,14 @@
 """Arithmetic layer: multiplication tables, laws, amplitudes, inverses."""
 
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadfield import (
     AlgebraKind,
@@ -25,7 +28,14 @@ from quadfield import (
 )
 from quadfield.algebra_core import BACKEND
 
-from conftest import KINDS, max_abs_diff, nonsingular_quads, quads, rel_diff
+from conftest import (
+    KINDS,
+    any_kind_quads,
+    max_abs_diff,
+    nonsingular_quads,
+    quads,
+    rel_diff,
+)
 
 # Unit products per kind: (i, j) -> (sign, basis index); index 0 is the
 # scalar unit, so alpha*beta = -gamma reads (1, 2): (-1, 3).
@@ -70,6 +80,76 @@ def test_kind_mismatch_rejected():
     b = Quad(AlgebraKind.POLAR, 1, 0, 0, 0)
     with pytest.raises(ValueError, match="kind mismatch"):
         mul(a, b)
+
+
+class TestQuadContract:
+    def test_frozen(self):
+        u = Quad(AlgebraKind.CIRCULAR, 1.0, 2.0, 3.0, 4.0)
+        for name in ("kind", "x", "y", "z", "t"):
+            with pytest.raises(AttributeError):
+                setattr(u, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(u, name)
+        with pytest.raises(AttributeError):
+            u.w = 0.0
+        assert u.components == (1.0, 2.0, 3.0, 4.0)
+
+    def test_eq_and_hash(self):
+        u = Quad(AlgebraKind.POLAR, 1.0, -0.5, 0.25, 2.0)
+        same = Quad(AlgebraKind.POLAR, 1.0, -0.5, 0.25, 2.0)
+        assert u == same and not u != same
+        assert hash(u) == hash(same)
+        assert len({u, same}) == 1
+        assert u != Quad(AlgebraKind.HYPERBOLIC, 1.0, -0.5, 0.25, 2.0)
+        assert u != Quad(AlgebraKind.POLAR, 1.0, -0.5, 0.25, 2.5)
+        assert u != (AlgebraKind.POLAR, 1.0, -0.5, 0.25, 2.0)
+        # -0.0 == 0.0, so the hashes must agree too
+        assert Quad(AlgebraKind.POLAR, -0.0, 0, 0, 0) == zero(AlgebraKind.POLAR)
+        assert hash(Quad(AlgebraKind.POLAR, -0.0, 0, 0, 0)) == hash(
+            zero(AlgebraKind.POLAR))
+
+    def test_int_components_coerced_to_float(self):
+        u = Quad(AlgebraKind.PLANAR, 1, -2, 0, True)
+        assert u.components == (1.0, -2.0, 0.0, 1.0)
+        assert all(type(c) is float for c in u.components)
+
+    def test_kind_must_be_algebra_kind(self):
+        with pytest.raises(TypeError, match="kind must be AlgebraKind"):
+            Quad("circular", 1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("index,name", list(enumerate("xyzt")))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_names_component(self, index, name, bad):
+        comps = [0.5, 0.5, 0.5, 0.5]
+        comps[index] = bad
+        with pytest.raises(ValueError,
+                           match=f"component {name}=.* is not finite"):
+            Quad(AlgebraKind.HYPERBOLIC, *comps)
+
+    def test_repr_shape(self):
+        u = Quad(AlgebraKind.CIRCULAR, 1.0, 0.0, -2.5, 0.125)
+        assert repr(u) == ("Quad(kind=<AlgebraKind.CIRCULAR: 'circular'>, "
+                           "x=1.0, y=0.0, z=-2.5, t=0.125)")
+
+    def test_copy_and_pickle_round_trip(self):
+        u = Quad(AlgebraKind.PLANAR, 0.1, 0.2, 0.3, 0.4)
+        assert copy.copy(u) == u
+        assert copy.deepcopy(u) == u
+        assert pickle.loads(pickle.dumps(u)) == u
+
+    def test_validation_runs_once_per_construction(self, monkeypatch):
+        assert "__post_init__" in Quad.__dict__
+        hook = Quad.__dict__["__post_init__"]
+        calls = []
+
+        def counting(self, *args):
+            calls.append(args)
+            return hook(self, *args)
+
+        monkeypatch.setattr(Quad, "__post_init__", counting)
+        mul(Quad(AlgebraKind.CIRCULAR, 1, 2, 3, 4),
+            Quad(AlgebraKind.CIRCULAR, 5, 6, 7, 8))
+        assert len(calls) == 3
 
 
 def test_nonfinite_components_rejected():
@@ -210,6 +290,9 @@ class TestInverse:
 
     @settings(max_examples=150)
     @given(u=nonsingular_quads(AlgebraKind.HYPERBOLIC))
+    # margin 2.5e-3: the expanded cubic adjugates cancelled to 4.3e-10 here
+    @example(u=Quad(AlgebraKind.HYPERBOLIC, -1.90625, -1.90625, -1.90625,
+                    -1.8967303425961388))
     def test_inverse_hyperbolic_hypothesis(self, u):
         assert rel_diff(mul(u, inverse(u)), one(u.kind)) < 1e-10
 
@@ -262,6 +345,42 @@ class TestSingularityReport:
         assert report.singular
         assert set(report.nodal_sets) == {
             "s", "s_prime", "s_double_prime", "s_triple_prime"}
+
+
+def nodal_residuals(u):
+    """(name, residual) per nodal set, from the kind's own formulas."""
+    x, y, z, t = u.components
+    if u.kind is AlgebraKind.CIRCULAR:
+        return [("rho_plus", math.hypot(x + t, y + z)),
+                ("rho_minus", math.hypot(x - t, y - z))]
+    if u.kind is AlgebraKind.HYPERBOLIC:
+        return [("s", abs(x + y + z + t)), ("s_prime", abs(x - y + z - t)),
+                ("s_double_prime", abs(x + y - z - t)),
+                ("s_triple_prime", abs(x - y - z + t))]
+    if u.kind is AlgebraKind.PLANAR:
+        a = (y - t) / math.sqrt(2.0)
+        b = (y + t) / math.sqrt(2.0)
+        return [("rho_plus", math.hypot(x + a, z + b)),
+                ("rho_minus", math.hypot(x - a, z - b))]
+    return [("v_plus", abs(x + y + z + t)), ("v_minus", abs(x - y + z - t)),
+            ("mu_plus", math.hypot(x - z, y - t))]
+
+
+NODAL_COMPONENTS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, math.sqrt(2)])
+
+
+@settings(max_examples=300)
+@given(u=st.one_of(any_kind_quads(),
+                   st.sampled_from(KINDS).flatmap(
+                       lambda k: quads(k, NODAL_COMPONENTS))),
+       tol=st.sampled_from([1e-12, 1e-6, 0.1]))
+def test_singularity_matches_nodal_formulas_bitwise(u, tol):
+    scale = max(modulus(u), tol)
+    want = [(name, r / scale) for name, r in nodal_residuals(u)]
+    report = singularity(u, tol)
+    assert report.margin == min(r for _, r in want)
+    assert report.nodal_sets == tuple(n for n, r in want if r <= tol)
+    assert report.singular == (report.margin <= tol)
 
 
 class TestPowInt:

@@ -39,6 +39,12 @@ from conftest import (
 TWO_PI = 2.0 * math.pi
 
 
+def test_plane_maps_are_reexported_from_algebra_core():
+    from quadfield import algebra_core, canonical
+    assert canonical.plane_split is algebra_core.plane_split
+    assert canonical.plane_join is algebra_core.plane_join
+
+
 class TestCoordinateMaps:
     @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip(self, kind):

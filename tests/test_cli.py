@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from quadfield import AlgebraKind, Quad, cosexp, exp_form, expform_to_dict, f4
-from quadfield.cli import main
+from quadfield.cli import COSEXP_MAX_ROWS, LOOP_MAX_SAMPLES, main
 
 
 def run_pkg(*args, env=None):
@@ -340,6 +340,17 @@ class TestIntegrate:
                                 "--integrand", "pole", "--pole", "0,0,0,0")
         assert code == 1 and "JSON object" in err
 
+    def test_samples_cap(self, capsys):
+        # 1024 (the benchmark) and 8192 (the README) stay within the cap
+        assert LOOP_MAX_SAMPLES >= 8192
+        spec = json.dumps({"center": [0, 0, 0, 0], "radius": 1.0,
+                           "samples": LOOP_MAX_SAMPLES + 1})
+        code, out, err = run_main(capsys, "integrate", "--kind", "circular",
+                                  "--loop", spec, "--integrand", "pole",
+                                  "--pole", "0,0,0,0")
+        assert code == 1 and out == ""
+        assert "usage error" in err and str(LOOP_MAX_SAMPLES) in err
+
 
 class TestCosexp:
     def test_golden_g_table(self):
@@ -381,6 +392,37 @@ class TestCosexp:
         code, _, err = run_main(capsys, "cosexp", "--family", "g",
                                 "--from", "1", "--to", "0", "--step", "1")
         assert code == 1
+        for bad in (("--from", "nan"), ("--to", "inf"), ("--step", "nan")):
+            argv = dict([("--from", "0"), ("--to", "1"), ("--step", "1"),
+                         bad])
+            code, _, err = run_main(capsys, "cosexp", "--family", "g",
+                                    *[v for kv in argv.items() for v in kv])
+            assert code == 1 and "finite" in err
+
+    def test_row_cap(self, capsys):
+        assert COSEXP_MAX_ROWS >= 9   # the benchmark's tables
+        step = 2.0 ** -10             # exact, so row counts are exact too
+        code, out, _ = run_main(capsys, "cosexp", "--family", "f",
+                                "--from", "0",
+                                "--to", repr((COSEXP_MAX_ROWS - 1) * step),
+                                "--step", repr(step), "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == COSEXP_MAX_ROWS
+        code, out, err = run_main(capsys, "cosexp", "--family", "f",
+                                  "--from", "0",
+                                  "--to", repr(COSEXP_MAX_ROWS * step),
+                                  "--step", repr(step))
+        assert code == 1 and out == ""
+        assert "usage error" in err and str(COSEXP_MAX_ROWS) in err
+
+    def test_overflow_is_json_error_exit_2(self):
+        cp = run_pkg("cosexp", "--family=g", "--from=0", "--to=1000",
+                     "--step=0.5")
+        assert cp.returncode == 2, cp.stderr
+        assert "Traceback" not in cp.stderr
+        payload = json.loads(cp.stdout)
+        assert payload["error"] == "ResultOverflow"
+        assert "x=710.5" in payload["message"]
 
 
 class TestMatrix:

@@ -12,6 +12,8 @@ from quadfield import (
     CosexpKind,
     DomainError,
     Quad,
+    QuadfieldError,
+    ResultOverflow,
     cos,
     cosexp,
     cosexp_series,
@@ -31,7 +33,15 @@ from quadfield import (
     sinh,
 )
 
-from conftest import KINDS, exp_domain_quad, max_abs_diff, random_quad
+from conftest import (
+    KINDS,
+    exp_domain_quad,
+    max_abs_diff,
+    quads,
+    random_quad,
+    rel_diff,
+)
+from fold_oracle import fold_cos_sin, fold_cosh_sinh
 
 TWO_PI = 2.0 * math.pi
 
@@ -247,6 +257,14 @@ class TestCosexp:
                       - 4*fn(k, x - h) + fn(k, x - 2*h)) / h**4
                 assert abs(d4 - sign * fn(k, x)) < 1e-5
 
+    @pytest.mark.parametrize("kind,x", [(g4(0), 1000.0), (g4(3), -711.0),
+                                        (f4(1), 1005.0)])
+    def test_overflow_is_typed(self, kind, x):
+        with pytest.raises(ResultOverflow, match="range of a double"):
+            cosexp(kind, x)
+        assert issubclass(ResultOverflow, QuadfieldError)
+        assert issubclass(ResultOverflow, OverflowError)
+
     def test_series_requires_positive_terms(self):
         with pytest.raises(ValueError):
             cosexp_series(f4(0), 1.0, 0)
@@ -389,6 +407,20 @@ class TestTrigHyperbolic:
             assert max_abs_diff(mul(c, c) + mul(s, s), one(kind)) < 1e-10
             ch, sh = cosh(u), sinh(u)
             assert max_abs_diff(mul(ch, ch) - mul(sh, sh), one(kind)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_trig_hyperbolic_match_fold(kind, data):
+    """Plane-wise cos/sin/cosh/sinh against the addition-theorem fold."""
+    u = data.draw(quads(kind))
+    c, s = fold_cos_sin(u)
+    ch, sh = fold_cosh_sinh(u)
+    assert rel_diff(cos(u), c) < 1e-12
+    assert rel_diff(sin(u), s) < 1e-12
+    assert rel_diff(cosh(u), ch) < 1e-12
+    assert rel_diff(sinh(u), sh) < 1e-12
 
 
 class TestDeMoivre:

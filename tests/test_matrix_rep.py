@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfield import (
     CHANGE_OF_BASIS,
@@ -18,7 +20,7 @@ from quadfield import (
     represent,
 )
 
-from conftest import KINDS, random_quad
+from conftest import KINDS, quads, random_quad
 
 IDENTITY = Matrix4((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
 
@@ -182,6 +184,16 @@ class TestBlockDiagonalize:
                     i += 1
             assert i == 4
             assert off_block_max(b, got) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_block_diagonalize_matches_conjugation(kind, data):
+    """The blocks read off plane_split equal T * represent(u) * T^-1."""
+    u = data.draw(quads(kind))
+    t, t_inv = CHANGE_OF_BASIS[kind]
+    assert mat_close(block_diagonalize(u), t @ represent(u) @ t_inv, 1e-12)
 
 
 class TestChangeOfBasis:

@@ -1,10 +1,8 @@
-"""Pure-Python arithmetic kernels for the four algebras.
+"""Arithmetic kernels for the four algebras.
 
-This module is the fallback backend selected by ``algebra_core`` when the
-compiled extension ``quadfield._kernels`` is unavailable.  The polynomial
-module also calls these functions directly regardless of backend: its
-root arithmetic runs on complexified components, which the double-typed
-compiled kernels do not accept.
+``algebra_core`` dispatches to these functions by kind.  They take plain
+numbers and never check types, so the polynomial module runs the same
+products on complexified components.
 
 Products and amplitude quartics are plain component formulas — one line
 per output component — so each can be audited term by term; inverses

@@ -21,10 +21,8 @@ nodal residuals are the moduli of the split parts.  ``Quad`` is a frozen
 float coercion, one NaN/inf test) exactly once.
 
 The kernels — products, amplitude quartics, and inverses as per-plane
-reciprocals joined back — live in the compiled extension
-``quadfield._kernels`` when it is importable, otherwise in the
-line-for-line equivalent ``quadfield._kernels_py``.  ``BACKEND`` names
-the choice.
+reciprocals joined back — live in ``quadfield._kernels_py``; ``BACKEND``
+names it and is always ``"python"``.
 """
 
 from __future__ import annotations
@@ -34,14 +32,9 @@ import json
 import math
 from dataclasses import dataclass
 
-try:  # compiled kernels are optional; the pure-Python ones are equivalent
-    from . import _kernels as _impl
+from . import _kernels_py as _impl
 
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernels_py as _impl
-
-    BACKEND = "python"
+BACKEND = "python"
 
 __all__ = [
     "AlgebraKind",
@@ -50,6 +43,8 @@ __all__ = [
     "SingularityReport",
     "QuadfieldError",
     "SingularValue",
+    "DomainError",
+    "ResultOverflow",
     "BACKEND",
     "DEFAULT_TOL",
     "add",
@@ -84,6 +79,14 @@ class QuadfieldError(Exception):
 
 class SingularValue(QuadfieldError):
     """Raised when an inverse is requested on (or too near) a nodal set."""
+
+
+class DomainError(QuadfieldError):
+    """Raised when a value lies outside an operation's validity domain."""
+
+
+class ResultOverflow(QuadfieldError, OverflowError):
+    """Raised when finite arguments give a value beyond the double range."""
 
 
 class AlgebraKind(enum.Enum):
@@ -287,16 +290,30 @@ def units(kind: AlgebraKind) -> tuple[Quad, Quad, Quad, Quad]:
     )
 
 
+# The operands of add, sub and mul are finite Quads, so a non-finite result
+# component (Quad raises ValueError on it) can only be an overflow; each
+# raises ResultOverflow for it.
+
+def _overflow(kind: AlgebraKind, what: str) -> ResultOverflow:
+    return ResultOverflow(f"{kind} {what} exceeds the range of a double")
+
+
 def add(u: Quad, v: Quad) -> Quad:
     """Componentwise sum; kinds must match."""
     _require_same_kind(u, v)
-    return Quad(u.kind, u.x + v.x, u.y + v.y, u.z + v.z, u.t + v.t)
+    try:
+        return Quad(u.kind, u.x + v.x, u.y + v.y, u.z + v.z, u.t + v.t)
+    except ValueError:
+        raise _overflow(u.kind, "sum") from None
 
 
 def sub(u: Quad, v: Quad) -> Quad:
     """Componentwise difference; kinds must match."""
     _require_same_kind(u, v)
-    return Quad(u.kind, u.x - v.x, u.y - v.y, u.z - v.z, u.t - v.t)
+    try:
+        return Quad(u.kind, u.x - v.x, u.y - v.y, u.z - v.z, u.t - v.t)
+    except ValueError:
+        raise _overflow(u.kind, "difference") from None
 
 
 def neg(u: Quad) -> Quad:
@@ -316,7 +333,11 @@ def mul(u: Quad, v: Quad) -> Quad:
     rounding.
     """
     _require_same_kind(u, v)
-    return Quad(u.kind, *_MUL[u.kind](u.x, u.y, u.z, u.t, v.x, v.y, v.z, v.t))
+    try:
+        return Quad(u.kind,
+                    *_MUL[u.kind](u.x, u.y, u.z, u.t, v.x, v.y, v.z, v.t))
+    except ValueError:
+        raise _overflow(u.kind, "product") from None
 
 
 def modulus(u: Quad) -> float:
@@ -394,6 +415,24 @@ _NODAL_SETS = {
     AlgebraKind.PLANAR: ("rho_plus", "rho_minus"),
     AlgebraKind.POLAR: ("v_plus", "v_minus", "mu_plus"),
 }
+
+
+def _domain_split(u: Quad, what: str) -> tuple:
+    """plane_split(u) after checking that u lies in the exp-form domain.
+
+    The domain is every real line part > 0 and every plane part != 0.
+
+    Raises:
+        DomainError: naming the first violated condition, for ``what``.
+    """
+    parts = plane_split(u)
+    for name, p in zip(_NODAL_SETS[u.kind], parts):
+        if p.__class__ is complex:
+            if p == 0:
+                raise DomainError(f"{u.kind} {what} requires {name} > 0; got 0")
+        elif p <= 0.0:
+            raise DomainError(f"{u.kind} {what} requires {name} > 0; got {p!r}")
+    return parts
 
 
 def _residuals(u: Quad, tol: float) -> list[float]:

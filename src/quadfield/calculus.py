@@ -7,9 +7,9 @@
   functions satisfy, via central finite differences.
 * Trapezoidal loop integration of Quad-valued integrands with the
   closed-form residue predictions: the loop integral of du/(u - u0) picks
-  up the kind's residue unit once per distinguished plane whose
-  projection winds around the pole; hyperbolic loops of regular
-  functions always vanish.
+  up the kind's residue unit of each complex plane of the split, times
+  the signed winding number of the loop's projection about the pole's;
+  hyperbolic loops of regular functions always vanish.
 """
 
 from __future__ import annotations
@@ -480,7 +480,12 @@ def _polygon_distance(point: tuple[float, float],
 
 
 def winding(q: WindingQuery) -> int:
-    """1 if the point is interior to the closed polygon, else 0 (even-odd).
+    """Signed winding number of the closed polygon about the point.
+
+    Counter-clockwise turns count +1 and clockwise turns -1 (Hormann and
+    Agathos, "The point in polygon problem for arbitrary polygons", CGTA
+    20(3), 2001): each edge crossing the horizontal ray to the right of
+    the point adds the sign of its upward or downward direction.
 
     Raises:
         OnBoundary: the point lies within 1e-9 of the polygon.
@@ -488,16 +493,19 @@ def winding(q: WindingQuery) -> int:
     if _polygon_distance(q.point2d, q.polygon2d) < 1e-9:
         raise OnBoundary(f"point {q.point2d} lies on the polygon boundary")
     px, py = q.point2d
-    inside = False
+    n = 0
     poly = q.polygon2d
     for i in range(len(poly) - 1):
         x1, y1 = poly[i]
         x2, y2 = poly[i + 1]
         if (y1 > py) != (y2 > py):
-            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-            if x_cross > px:
-                inside = not inside
-    return 1 if inside else 0
+            # side of the point relative to the edge; > 0 means left
+            side = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)
+            if y2 > y1 and side > 0.0:
+                n += 1
+            elif y2 < y1 and side < 0.0:
+                n -= 1
+    return n
 
 
 def _unit(kind: AlgebraKind, x: float, y: float, z: float, t: float) -> Quad:
@@ -528,25 +536,12 @@ RESIDUE_UNITS: dict[AlgebraKind, tuple[Quad, Quad]] = {
 }
 
 
-def _loop_projections(loop: Loop) -> list[tuple[tuple[float, float], ...]]:
-    """Closed 2-D projections of the loop in the kind's winding planes."""
-    kind = loop.kind
-    parts = [plane_split(p) for p in loop.points]
-    if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
-        return [
-            tuple((w[0].real, w[0].imag) for w in parts),
-            tuple((w[1].real, w[1].imag) for w in parts),
-        ]
-    if kind is AlgebraKind.POLAR:
-        return [tuple((w[2].real, w[2].imag) for w in parts)]
-    return []
-
-
 def residue_prediction(poles, loop: Loop) -> Quad:
     """Closed-form prediction of the loop integral of sum a_j/(u - u_j).
 
-    Combines the winding numbers of each pole's plane projections with
-    the kind's residue units; hyperbolic predictions are identically 0.
+    The winding planes are the complex entries of ``plane_split``; in each,
+    the residue unit times a_j counts once per signed turn of the loop's
+    projection about the pole's.  Hyperbolic predictions are identically 0.
 
     Raises:
         OnBoundary: a pole projection lies on a loop projection.
@@ -556,21 +551,19 @@ def residue_prediction(poles, loop: Loop) -> Quad:
     """
     kind = loop.kind
     total = zero(kind)
-    projections = _loop_projections(loop)
-    if not projections:
+    splits = [plane_split(p) for p in loop.points]
+    planes = [j for j, p in enumerate(splits[0]) if p.__class__ is complex]
+    if not planes:
         return total
+    projections = [tuple((w[j].real, w[j].imag) for w in splits)
+                   for j in planes]
     units = RESIDUE_UNITS[kind]
     for u_j, a_j in poles:
         if u_j.kind is not kind or a_j.kind is not kind:
             raise ValueError("pole kind does not match loop kind")
         pole_parts = plane_split(u_j)
-        pole_points = (
-            [(pole_parts[0].real, pole_parts[0].imag),
-             (pole_parts[1].real, pole_parts[1].imag)]
-            if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR)
-            else [(pole_parts[2].real, pole_parts[2].imag)]
-        )
-        for plane_idx, (pt, poly) in enumerate(zip(pole_points, projections)):
+        for plane_idx, (j, poly) in enumerate(zip(planes, projections)):
+            pt = (pole_parts[j].real, pole_parts[j].imag)
             dist = _polygon_distance(pt, poly)
             if dist < 1e-6:
                 warnings.warn(
@@ -581,5 +574,5 @@ def residue_prediction(poles, loop: Loop) -> Quad:
                 )
             n = winding(WindingQuery(point2d=pt, polygon2d=poly))
             if n:
-                total = total + mul(units[plane_idx], a_j)
+                total = total + scale(mul(units[plane_idx], a_j), n)
     return total

@@ -14,7 +14,8 @@ decouples:
 re-exported here) expose the decoupling as plain complex/real numbers;
 every map is an exact unital ring homomorphism per plane, which is what
 makes the exponential forms, logarithms, series and factorizations in the
-other modules one-plane-at-a-time computations.
+other modules one-plane-at-a-time computations.  The canonical
+coordinates are the split parts themselves, flattened and scaled.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import elementary
 from .algebra_core import (
     AlgebraKind,
+    DomainError,
     Quad,
-    QuadfieldError,
-    _NODAL_SETS,
+    _domain_split,
     modulus,
     plane_join,
     plane_split,
@@ -72,10 +74,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
-
-
-class DomainError(QuadfieldError):
-    """Raised when a value lies outside an operation's validity domain."""
 
 
 # -- canonical coordinate records ----------------------------------------
@@ -180,74 +178,44 @@ CANONICAL_BASES: dict[AlgebraKind, tuple[Quad, ...]] = {
 
 # -- coordinate maps ------------------------------------------------------
 
+# The canonical coordinates are the plane_split parts, a plane flattened to
+# (real, imag), divided by the kind's scale: sqrt(2) on the circular and
+# planar planes, 1 on the hyperbolic and polar lines and plane.
+_CANONICAL_SCALE = {
+    AlgebraKind.CIRCULAR: _SQRT2,
+    AlgebraKind.HYPERBOLIC: 1.0,
+    AlgebraKind.PLANAR: _SQRT2,
+    AlgebraKind.POLAR: 1.0,
+}
+
+# Which split parts are complex planes, read off the split of 1.
+_IS_PLANE = {
+    kind: tuple(p.__class__ is complex
+                for p in plane_split(Quad(kind, 1.0, 0.0, 0.0, 0.0)))
+    for kind in AlgebraKind
+}
+
+
 def to_canonical(u: Quad) -> CanonicalCoords:
     """Linear map into the kind's decoupling coordinates."""
-    x, y, z, t = u.components
-    if u.kind is AlgebraKind.CIRCULAR:
-        return CanonicalCircular(
-            xi=(x + t) / _SQRT2,
-            upsilon=(y + z) / _SQRT2,
-            tau=(x - t) / _SQRT2,
-            zeta=(y - z) / _SQRT2,
-        )
-    if u.kind is AlgebraKind.HYPERBOLIC:
-        return CanonicalHyperbolic(
-            s=x + y + z + t,
-            s_prime=x - y + z - t,
-            s_double_prime=x + y - z - t,
-            s_triple_prime=x - y - z + t,
-        )
-    if u.kind is AlgebraKind.PLANAR:
-        a = (y - t) / 2.0
-        b = (y + t) / 2.0
-        return CanonicalPlanar(
-            xi=x / _SQRT2 + a,
-            upsilon=z / _SQRT2 + b,
-            tau=x / _SQRT2 - a,
-            zeta=-z / _SQRT2 + b,
-        )
-    return CanonicalPolar(v_plus=x + y + z + t, v_minus=x - y + z - t,
-                          v1=x - z, v1_tilde=y - t)
+    c = _CANONICAL_SCALE[u.kind]
+    flat = []
+    for p in plane_split(u):
+        if p.__class__ is complex:
+            flat += (p.real / c, p.imag / c)
+        else:
+            flat.append(p / c)
+    return _CANONICAL_TYPE[u.kind](*flat)
 
 
 def from_canonical(c: CanonicalCoords) -> Quad:
     """Inverse of :func:`to_canonical`."""
     kind = _KIND_OF_CANONICAL[type(c)]
-    if kind is AlgebraKind.CIRCULAR:
-        return Quad(
-            kind,
-            (c.xi + c.tau) / _SQRT2,
-            (c.upsilon + c.zeta) / _SQRT2,
-            (c.upsilon - c.zeta) / _SQRT2,
-            (c.xi - c.tau) / _SQRT2,
-        )
-    if kind is AlgebraKind.HYPERBOLIC:
-        s, sp, spp, sppp = c.s, c.s_prime, c.s_double_prime, c.s_triple_prime
-        return Quad(
-            kind,
-            (s + sp + spp + sppp) / 4.0,
-            (s - sp + spp - sppp) / 4.0,
-            (s + sp - spp - sppp) / 4.0,
-            (s - sp - spp + sppp) / 4.0,
-        )
-    if kind is AlgebraKind.PLANAR:
-        ymt = c.xi - c.tau          # y - t
-        ypt = c.upsilon + c.zeta    # y + t
-        return Quad(
-            kind,
-            (c.xi + c.tau) / _SQRT2,
-            (ymt + ypt) / 2.0,
-            (c.upsilon - c.zeta) / _SQRT2,
-            (ypt - ymt) / 2.0,
-        )
-    vp, vm = c.v_plus, c.v_minus
-    return Quad(
-        AlgebraKind.POLAR,
-        vp / 4.0 + vm / 4.0 + c.v1 / 2.0,
-        vp / 4.0 - vm / 4.0 + c.v1_tilde / 2.0,
-        vp / 4.0 + vm / 4.0 - c.v1 / 2.0,
-        vp / 4.0 - vm / 4.0 - c.v1_tilde / 2.0,
-    )
+    scale = _CANONICAL_SCALE[kind]
+    flat = iter([scale * getattr(c, name) for name in c.__slots__])
+    return plane_join(kind, tuple(
+        complex(next(flat), next(flat)) if plane else next(flat)
+        for plane in _IS_PLANE[kind]))
 
 
 def canonical_mul(c1: CanonicalCoords, c2: CanonicalCoords) -> CanonicalCoords:
@@ -307,11 +275,10 @@ class ExpForm:
     theta_minus: float | None = None
 
     def __post_init__(self) -> None:
-        required = _EXPFORM_FIELDS[self.kind]
-        for name in required:
+        for name in _EXPFORM_FIELDS[self.kind]:
             if getattr(self, name) is None:
                 raise ValueError(f"{self.kind} exp form requires field {name}")
-        for name in _EXPFORM_ALL - set(required):
+        for name in _EXPFORM_UNUSED[self.kind]:
             if getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} exp form does not take field {name}")
 
@@ -323,9 +290,10 @@ _EXPFORM_FIELDS = {
     AlgebraKind.POLAR: ("rho", "theta_plus", "theta_minus", "phi"),
 }
 
-_EXPFORM_ALL = {
-    "rho", "phi", "chi", "psi", "mu", "y1", "z1", "t1",
-    "theta_plus", "theta_minus",
+_EXPFORM_UNUSED = {
+    kind: tuple(name for name in ExpForm.__slots__
+                if name != "kind" and name not in required)
+    for kind, required in _EXPFORM_FIELDS.items()
 }
 
 
@@ -353,24 +321,6 @@ def expform_from_dict(d: dict) -> ExpForm:
 def _angle(y: float, x: float) -> float:
     """Two-argument arctangent normalized to [0, 2*pi)."""
     return math.atan2(y, x) % _TWO_PI
-
-
-def _domain_split(u: Quad, what: str) -> tuple:
-    """plane_split(u) after checking that u lies in the exp-form domain.
-
-    The domain is every real line part > 0 and every plane part != 0.
-
-    Raises:
-        DomainError: naming the first violated condition, for ``what``.
-    """
-    parts = plane_split(u)
-    for name, p in zip(_NODAL_SETS[u.kind], parts):
-        if p.__class__ is complex:
-            if p == 0:
-                raise DomainError(f"{u.kind} {what} requires {name} > 0; got 0")
-        elif p <= 0.0:
-            raise DomainError(f"{u.kind} {what} requires {name} > 0; got {p!r}")
-    return parts
 
 
 def exp_form(u: Quad) -> ExpForm:
@@ -450,9 +400,11 @@ def _exponent_quad(f: ExpForm) -> Quad:
 
 
 def from_exp_form(f: ExpForm) -> Quad:
-    """Evaluate the exponential form back into a Quad (inverse of exp_form)."""
-    from . import elementary  # deferred: elementary builds on this module
+    """Evaluate the exponential form back into a Quad (inverse of exp_form).
 
+    Raises:
+        ResultOverflow: the value lies beyond the range of a double.
+    """
     return elementary.exp(_exponent_quad(f))
 
 

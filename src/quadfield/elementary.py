@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from .algebra_core import (
     AlgebraKind,
     Quad,
-    QuadfieldError,
+    ResultOverflow,
+    _domain_split,
     mul,
     plane_join,
     plane_split,
     scale,
 )
-from .canonical import _domain_split
 
 __all__ = [
     "CosexpFamily",
@@ -56,10 +56,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
-
-
-class ResultOverflow(QuadfieldError, OverflowError):
-    """Raised when a finite argument gives a value beyond the double range."""
 
 
 class CosexpFamily(enum.Enum):
@@ -190,11 +186,22 @@ def _planewise(u: Quad, complex_fn, real_fn) -> Quad:
 
     Each plane map is a continuous unital ring homomorphism, so it carries
     any convergent power series in u to the same series in the part.
+
+    Raises:
+        ResultOverflow: a part's value, or a component of the joined
+            value, lies beyond the range of a double.
     """
-    return plane_join(u.kind, [
-        complex_fn(p) if p.__class__ is complex else real_fn(p)
-        for p in plane_split(u)
-    ])
+    try:
+        return plane_join(u.kind, [
+            complex_fn(p) if p.__class__ is complex else real_fn(p)
+            for p in plane_split(u)
+        ])
+    except (OverflowError, ValueError):
+        # math/cmath raise OverflowError; an infinite joined component
+        # makes Quad raise ValueError.
+        raise ResultOverflow(
+            f"{u.kind} {real_fn.__name__} of {u.components} exceeds the "
+            f"range of a double") from None
 
 
 def exp(u: Quad) -> Quad:

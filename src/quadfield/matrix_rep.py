@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraKind, Quad, plane_split
+from .algebra_core import AlgebraKind, Quad, plane_split, units
 
 __all__ = [
     "Matrix4",
@@ -24,9 +24,6 @@ __all__ = [
     "block_diagonalize",
     "CHANGE_OF_BASIS",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True, slots=True)
 class Matrix4:
@@ -107,24 +104,25 @@ def determinant(m: Matrix4) -> float:
     return det
 
 
-def _basis_rows(kind: AlgebraKind) -> tuple[tuple[float, ...], ...]:
-    h = 0.5
-    q = 1.0 / _SQRT2
-    if kind is AlgebraKind.CIRCULAR:
-        return ((q, 0, 0, q), (0, q, q, 0), (q, 0, 0, -q), (0, q, -q, 0))
-    if kind is AlgebraKind.HYPERBOLIC:
-        return ((h, h, h, h), (h, -h, h, -h), (h, h, -h, -h), (h, -h, -h, h))
-    if kind is AlgebraKind.PLANAR:
-        return ((q, h, 0, -h), (0, h, q, h), (q, -h, 0, h), (0, h, -q, h))
-    return ((h, h, h, h), (h, -h, h, -h), (q, 0, -q, 0), (0, q, 0, -q))
-
-
 def _build_change_of_basis() -> dict[AlgebraKind, tuple[Matrix4, Matrix4]]:
     out = {}
     for kind in AlgebraKind:
-        t = Matrix4.from_rows(_basis_rows(kind))
+        # Column k is the split of unit k, planes flattened to (real, imag),
+        # so row i is split coordinate i as a functional of (x, y, z, t).
+        columns = []
+        for e in units(kind):
+            column = []
+            for p in plane_split(e):
+                column += (p.real, p.imag) if p.__class__ is complex else (p,)
+            columns.append(column)
+        rows = []
+        for row in zip(*columns):
+            norm = math.sqrt(sum(v * v for v in row))
+            rows.append([v / norm for v in row])
+        t = Matrix4.from_rows(rows)
         t_inv = t.transpose()
-        # T is orthogonal by construction; verify once and hard-fail loudly.
+        # The normalized rows must be orthonormal; verify once and hard-fail
+        # loudly.
         gram = t @ t_inv
         for i in range(4):
             for j in range(4):

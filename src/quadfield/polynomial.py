@@ -13,8 +13,8 @@ Components along the real lines (all four hyperbolic lines, the polar
 v+ and v- lines) can have complex roots.  Such roots have no real Quad
 representation: they are returned as `ComplexQuad` values (conjugate
 pairs), and `pair_conjugates` regroups them so callers can render real
-quadratic factors.  All complexified arithmetic runs on the pure-Python
-kernels, which are polymorphic over complex components.
+quadratic factors.  Complexified products run on the same kernels as
+``mul`` (``algebra_core._MUL``), which take complex components as well.
 """
 
 from __future__ import annotations
@@ -23,8 +23,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import _kernels_py as _kp
-from .algebra_core import AlgebraKind, Quad, QuadfieldError, inverse, modulus, mul
+from .algebra_core import (
+    _MUL,
+    AlgebraKind,
+    Quad,
+    QuadfieldError,
+    inverse,
+    modulus,
+    mul,
+)
 from .canonical import plane_split
 
 __all__ = [
@@ -42,13 +49,6 @@ __all__ = [
 _DK_TOL = 1e-12
 _DK_CAP = 500
 _REAL_SNAP = 1e-8
-
-_MULC = {
-    AlgebraKind.CIRCULAR: _kp.mul_circular,
-    AlgebraKind.HYPERBOLIC: _kp.mul_hyperbolic,
-    AlgebraKind.PLANAR: _kp.mul_planar,
-    AlgebraKind.POLAR: _kp.mul_polar,
-}
 
 
 class NoConvergence(QuadfieldError):
@@ -147,16 +147,6 @@ def _component_names(kind: AlgebraKind) -> tuple[str, ...]:
     if kind is AlgebraKind.HYPERBOLIC:
         return ("s line", "s' line", "s'' line", "s''' line")
     return ("v+ line", "v- line", "mu plane")
-
-
-def _real_line_components(kind: AlgebraKind) -> tuple[int, ...]:
-    """Indices of plane_split entries that are real lines (may need
-    conjugate symmetrization of their roots)."""
-    if kind is AlgebraKind.HYPERBOLIC:
-        return (0, 1, 2, 3)
-    if kind is AlgebraKind.POLAR:
-        return (0, 1)
-    return ()
 
 
 def _horner_c(coeffs: list[complex], z: complex) -> complex:
@@ -266,13 +256,9 @@ def _as_root(kind: AlgebraKind, comps: tuple):
     return ComplexQuad(kind, *(complex(c) for c in comps))
 
 
-def _root_components(root) -> tuple:
-    return root.components
-
-
 def _eval_complexified(p: Poly, comps: tuple, kind: AlgebraKind) -> float:
-    """|P(root)| with complex-component Horner on the Python kernels."""
-    mulc = _MULC[kind]
+    """|P(root)| with complex-component Horner on the product kernels."""
+    mulc = _MUL[kind]
     acc = p.coeffs[0].components
     for a in p.coeffs[1:]:
         acc = mulc(*acc, *comps)
@@ -284,13 +270,11 @@ def _component_root_lists(p: Poly) -> list[list[complex]]:
     """Sorted per-component roots of the projected polynomials."""
     kind = p.kind
     coeff_parts = [plane_split(a) for a in p.coeffs]
-    names = _component_names(kind)
-    real_lines = _real_line_components(kind)
     lists: list[list[complex]] = []
-    for j, name in enumerate(names):
+    for j, name in enumerate(_component_names(kind)):
         comp_coeffs = [complex(parts[j]) for parts in coeff_parts]
         roots = _durand_kerner(comp_coeffs, name)
-        if j in real_lines:
+        if coeff_parts[0][j].__class__ is float:  # a real line
             roots = _symmetrize_conjugates(roots)
         roots.sort(key=lambda z: (z.real, z.imag))
         lists.append(roots)
@@ -325,7 +309,7 @@ def _conjugate_closed(roots) -> bool:
     """True when the root multiset is closed under componentwise conjugation."""
     keys = sorted(
         tuple((round(complex(c).real, 9), round(complex(c).imag, 9))
-              for c in _root_components(r))
+              for c in r.components)
         for r in roots
     )
     conj_keys = sorted(
@@ -355,7 +339,7 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
             continue
         key = tuple(sorted(
             tuple((round(complex(c).real, 9), round(complex(c).imag, 9))
-                  for c in _root_components(r))
+                  for c in r.components)
             for r in fact.roots
         ))
         if key in seen:
@@ -369,11 +353,11 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
 
 def reconstruct(f: Factorization, kind: AlgebraKind) -> Poly:
     """Expand the product of (u - root); the oracle for factor()."""
-    mulc = _MULC[kind]
+    mulc = _MUL[kind]
     coeffs: list[tuple] = [(1.0, 0.0, 0.0, 0.0)]
     zero4 = (0.0, 0.0, 0.0, 0.0)
     for r in f.roots:
-        rc = _root_components(r)
+        rc = r.components
         grown = []
         for i in range(len(coeffs) + 1):
             ci = coeffs[i] if i < len(coeffs) else zero4
@@ -431,7 +415,7 @@ def quadratic_factor(pair: tuple[ComplexQuad, ComplexQuad],
                      kind: AlgebraKind) -> tuple[Quad, Quad]:
     """(s, q) with (u - r)(u - conj r) = u**2 - s u + q, both real."""
     r, rbar = pair
-    mulc = _MULC[kind]
+    mulc = _MUL[kind]
     s = tuple(a + b for a, b in zip(r.components, rbar.components))
     q = mulc(*r.components, *rbar.components)
     return (Quad(kind, *(complex(v).real for v in s)),

@@ -34,6 +34,7 @@ from quadfield import (
     winding,
     zero,
 )
+from quadfield.calculus import RESIDUE_UNITS
 
 from conftest import KINDS, max_abs_diff, random_quad
 
@@ -209,6 +210,16 @@ class TestWinding:
         assert winding(WindingQuery((2.0, 1.5), poly)) == 0   # in the cavity
         assert winding(WindingQuery((0.5, 1.5), poly)) == 1   # in the arm
 
+    def test_clockwise_counts_minus_one(self):
+        clockwise = tuple(reversed(self.SQUARE))
+        assert winding(WindingQuery((0.5, 0.5), clockwise)) == -1
+        assert winding(WindingQuery((3.0, 0.5), clockwise)) == 0
+
+    def test_twice_wound_counts_two(self):
+        twice = self.SQUARE[:-1] + self.SQUARE
+        assert winding(WindingQuery((0.5, 0.5), twice)) == 2
+        assert winding(WindingQuery((-1.0, 0.5), twice)) == 0
+
     def test_polygon_validation(self):
         with pytest.raises(ValueError):
             WindingQuery((0, 0), ((0, 0), (1, 0), (0, 0)))
@@ -345,6 +356,41 @@ class TestIntegration:
         prediction = residue_prediction(
             [(u0, scale(pow_int(u0, 2), 3.0))], loop)
         assert max_abs_diff(result, prediction) <= 1e-4
+
+
+# A pole at the centre of a plus-plane circle; polar circles keep v+ and v-
+# off the pole's, as in test_polar_pole_parallel_circle.
+SIGNED_CASES = [
+    (AlgebraKind.CIRCULAR, (0.2, 0.1, -0.05, 0.15), (0.0, 0.0, 0.0, 0.0)),
+    (AlgebraKind.PLANAR, (0.1, 0.0, 0.2, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    (AlgebraKind.POLAR, (1.0, 0.2, 0.1, -0.1), (0.2, 0.0, 0.2, 0.0)),
+]
+
+
+class TestSignedWinding:
+    """Orientation and winding count scale the residue unit."""
+
+    @staticmethod
+    def _check(kind, u0, loop, turns):
+        unit = RESIDUE_UNITS[kind][0]
+        pred = residue_prediction([(u0, one(kind))], loop)
+        assert max_abs_diff(pred, scale(unit, turns)) < 1e-12
+        result = integrate_loop(lambda u: inverse(u - u0), loop)
+        assert max_abs_diff(result, pred) <= 1e-5
+
+    @pytest.mark.parametrize("kind,pole,offset", SIGNED_CASES)
+    def test_clockwise_predicts_minus_unit(self, kind, pole, offset):
+        u0 = Quad(kind, *pole)
+        loop = Loop.circle(u0 + Quad(kind, *offset), 1.0, samples=4096)
+        clockwise = Loop.from_points(reversed(loop.points))
+        self._check(kind, u0, clockwise, -1)
+
+    @pytest.mark.parametrize("kind,pole,offset", SIGNED_CASES)
+    def test_twice_wound_predicts_two_units(self, kind, pole, offset):
+        u0 = Quad(kind, *pole)
+        loop = Loop.circle(u0 + Quad(kind, *offset), 1.0, samples=4096)
+        twice = Loop.from_points(loop.points[:-1] + loop.points)
+        self._check(kind, u0, twice, 2)
 
 
 class TestResiduePrediction:

@@ -1,5 +1,6 @@
 """Decoupling coordinates, idempotent bases, exponential/trig forms."""
 
+import dataclasses
 import math
 import random
 
@@ -10,6 +11,7 @@ from quadfield import (
     CANONICAL_BASES,
     AlgebraKind,
     DomainError,
+    ExpForm,
     Quad,
     canonical_mul,
     exp,
@@ -45,7 +47,36 @@ def test_plane_maps_are_reexported_from_algebra_core():
     assert canonical.plane_join is algebra_core.plane_join
 
 
+def test_domain_error_is_reexported_from_algebra_core():
+    from quadfield import algebra_core, canonical
+    assert canonical.DomainError is algebra_core.DomainError
+
+
+def to_canonical_oracle(u):
+    """The canonical coordinates of each kind, written out by hand."""
+    x, y, z, t = u.components
+    r = math.sqrt(2.0)
+    if u.kind is AlgebraKind.CIRCULAR:
+        return ((x + t) / r, (y + z) / r, (x - t) / r, (y - z) / r)
+    if u.kind is AlgebraKind.HYPERBOLIC:
+        return (x + y + z + t, x - y + z - t, x + y - z - t, x - y - z + t)
+    if u.kind is AlgebraKind.PLANAR:
+        a = (y - t) / 2.0
+        b = (y + t) / 2.0
+        return (x / r + a, z / r + b, x / r - a, -z / r + b)
+    return (x + y + z + t, x - y + z - t, x - z, y - t)
+
+
 class TestCoordinateMaps:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_written_out_formulas(self, kind):
+        rng = random.Random(1)
+        for _ in range(300):
+            u = random_quad(kind, rng)
+            got = dataclasses.astuple(to_canonical(u))
+            want = to_canonical_oracle(u)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip(self, kind):
         rng = random.Random(2)
@@ -158,6 +189,16 @@ class TestExpForm:
             back = from_exp_form(exp_form(u))
             scale = max(1.0, max(abs(c) for c in u.components))
             assert max_abs_diff(back, u) < 1e-10 * scale
+
+    def test_fields_checked_per_kind(self):
+        with pytest.raises(ValueError, match="requires field psi"):
+            ExpForm(kind=AlgebraKind.CIRCULAR, rho=1.0, phi=0.0, chi=0.0)
+        with pytest.raises(ValueError, match="does not take field mu"):
+            ExpForm(kind=AlgebraKind.PLANAR, rho=1.0, phi=0.0, chi=0.0,
+                    psi=0.5, mu=1.0)
+        with pytest.raises(ValueError, match="does not take field rho"):
+            ExpForm(kind=AlgebraKind.HYPERBOLIC, mu=1.0, y1=0.0, z1=0.0,
+                    t1=0.0, rho=1.0)
 
     def test_circular_unit_angles(self):
         f = exp_form(one(AlgebraKind.CIRCULAR))

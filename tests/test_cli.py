@@ -125,6 +125,19 @@ class TestEval:
                                 "modulus", "--a", "1,0,0")
         assert code == 1 and "4 components" in err
 
+    def test_overflowing_result_is_domain_error(self):
+        cp = run_pkg("eval", "--kind", "circular", "--op", "pow", "--m", "400",
+                     "--a", "10,0,0,0")
+        assert cp.returncode == 2, cp.stderr
+        assert json.loads(cp.stdout)["error"] == "ResultOverflow"
+
+    def test_non_finite_input_is_usage_error(self, capsys):
+        code, out, err = run_main(capsys, "eval", "--kind", "circular",
+                                  "--op", "pow", "--m", "2",
+                                  "--a", "1e999,0,0,0")
+        assert code == 1 and out == ""
+        assert "usage error" in err and "not finite" in err
+
 
 class TestExpform:
     @pytest.mark.parametrize("kind,u", [
@@ -179,6 +192,15 @@ class TestExpform:
                                 "--u", "1,2,0,0")
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    def test_overflow_is_json_error_exit_2(self):
+        payload = {"kind": "hyperbolic", "mu": 1.0, "y1": 800, "z1": 0,
+                   "t1": 0}
+        cp = run_pkg("expform", "--kind", "hyperbolic",
+                     "--json", json.dumps(payload))
+        assert cp.returncode == 2, cp.stderr
+        assert "Traceback" not in cp.stderr
+        assert json.loads(cp.stdout)["error"] == "ResultOverflow"
 
 
 class TestFactor:

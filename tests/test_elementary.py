@@ -408,6 +408,33 @@ class TestTrigHyperbolic:
             ch, sh = cosh(u), sinh(u)
             assert max_abs_diff(mul(ch, ch) - mul(sh, sh), one(kind)) < 1e-10
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("fn", [exp, cosh, sinh])
+    def test_overflow_is_typed(self, kind, fn):
+        # every split part has real part 800
+        with pytest.raises(ResultOverflow, match="range of a double"):
+            fn(Quad(kind, 800.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ResultOverflow, match="range of a double"):
+            fn(Quad(AlgebraKind.CIRCULAR, 0.0, 0.0, 0.0, 800.0))
+
+    @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR,
+                                      AlgebraKind.HYPERBOLIC])
+    def test_overflow_in_the_join_is_typed(self, kind):
+        # each part is e^709.7, about 1.65e308, but the join adds them
+        with pytest.raises(ResultOverflow, match="range of a double"):
+            exp(Quad(kind, 709.7, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("kind,u", [
+        (AlgebraKind.CIRCULAR, (0.0, 800.0, 0.0, 0.0)),
+        (AlgebraKind.PLANAR, (0.0, 0.0, 800.0, 0.0)),
+        (AlgebraKind.POLAR, (0.0, 800.0, 0.0, 0.0)),
+    ])
+    def test_trig_overflow_is_typed(self, kind, u):
+        # the imaginary part of a plane is 800, so cos and sin grow like cosh
+        for fn in (cos, sin):
+            with pytest.raises(ResultOverflow, match="range of a double"):
+                fn(Quad(kind, *u))
+
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=100)

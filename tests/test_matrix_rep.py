@@ -1,5 +1,6 @@
 """4x4 matrix representation, determinant identity, block diagonalization."""
 
+import math
 import random
 
 import pytest
@@ -196,7 +197,25 @@ def test_block_diagonalize_matches_conjugation(kind, data):
     assert mat_close(block_diagonalize(u), t @ represent(u) @ t_inv, 1e-12)
 
 
+def basis_rows_oracle(kind):
+    """The canonical directions of each kind, written out by hand."""
+    h = 0.5
+    q = 1.0 / math.sqrt(2.0)
+    if kind is AlgebraKind.CIRCULAR:
+        return ((q, 0, 0, q), (0, q, q, 0), (q, 0, 0, -q), (0, q, -q, 0))
+    if kind is AlgebraKind.HYPERBOLIC:
+        return ((h, h, h, h), (h, -h, h, -h), (h, h, -h, -h), (h, -h, -h, h))
+    if kind is AlgebraKind.PLANAR:
+        return ((q, h, 0, -h), (0, h, q, h), (q, -h, 0, h), (0, h, -q, h))
+    return ((h, h, h, h), (h, -h, h, -h), (q, 0, -q, 0), (0, q, 0, -q))
+
+
 class TestChangeOfBasis:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_written_out_rows(self, kind):
+        t, _ = CHANGE_OF_BASIS[kind]
+        assert mat_close(t, Matrix4.from_rows(basis_rows_oracle(kind)), 1e-15)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_orthonormal(self, kind):
         t, t_inv = CHANGE_OF_BASIS[kind]

@@ -290,6 +290,18 @@ def units(kind: AlgebraKind) -> tuple[Quad, Quad, Quad, Quad]:
     )
 
 
+def _unit_products(kind: AlgebraKind) -> tuple:
+    """Entry [i][j] is (m, s) with e_i*e_j = s*e_m, read off the kernel.
+
+    Every product of two of the units 1, alpha, beta, gamma is exactly one
+    signed unit.
+    """
+    basis = [e.components for e in units(kind)]
+    table = [[_MUL[kind](*a, *b) for b in basis] for a in basis]
+    return tuple(tuple((m, int(p[m])) for p in row for m in range(4) if p[m])
+                 for row in table)
+
+
 # The operands of add, sub and mul are finite Quads, so a non-finite result
 # component (Quad raises ValueError on it) can only be an overflow; each
 # raises ResultOverflow for it.
@@ -403,6 +415,22 @@ def plane_join(kind: AlgebraKind, parts: tuple) -> Quad:
                 vp / 4.0 - vm / 4.0 + w1.imag / 2.0,
                 vp / 4.0 + vm / 4.0 - w1.real / 2.0,
                 vp / 4.0 - vm / 4.0 - w1.imag / 2.0)
+
+
+def _split_basis(kind: AlgebraKind) -> tuple:
+    """The split-space basis in :func:`plane_split` order: 1 on each real
+    line, 1 and then i on each complex plane, zero elsewhere."""
+    zeros = tuple(0j if p.__class__ is complex else 0.0
+                  for p in plane_split(one(kind)))
+    return tuple(zeros[:j] + (v,) + zeros[j + 1:]
+                 for j, p in enumerate(zeros)
+                 for v in ((1 + 0j, 1j) if p.__class__ is complex else (1.0,)))
+
+
+def _flatten(parts) -> list:
+    """Split parts as reals, each plane flattened to (real, imag)."""
+    return [v for p in parts
+            for v in ((p.real, p.imag) if p.__class__ is complex else (p,))]
 
 
 # Nodal sets named in plane_split order: each set is where one split part

@@ -4,12 +4,14 @@
   (the cross-check oracle), and tail-ratio convergence estimates.
 * Numerical verification of the first-order (Riemann-type) relations and
   the second-order Laplace/wave/mixed equations each kind's analytic
-  functions satisfy, via central finite differences.
+  functions satisfy, via central finite differences; both sets of
+  relations are read off the kind's unit products.
 * Trapezoidal loop integration of Quad-valued integrands with the
   closed-form residue predictions: the loop integral of du/(u - u0) picks
-  up the kind's residue unit of each complex plane of the split, times
-  the signed winding number of the loop's projection about the pole's;
-  hyperbolic loops of regular functions always vanish.
+  up the kind's residue unit of each complex plane of the split (2*pi*i
+  on that plane, joined back), times the signed winding number of the
+  loop's projection about the pole's; hyperbolic loops of regular
+  functions always vanish.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, mul, scale, zero
-from .canonical import plane_join, plane_split
+from .algebra_core import _split_basis, _unit_products
+from .canonical import CANONICAL_BASES, plane_join, plane_split
 
 __all__ = [
     "SeriesSpec",
@@ -43,6 +46,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _PI = math.pi
+_TWO_PI = 2.0 * _PI
+_TWO_PI_I = complex(0.0, _TWO_PI)
 
 
 class DegenerateSeries(QuadfieldError):
@@ -119,11 +124,11 @@ def eval_series_canonical(s: SeriesSpec, u: Quad) -> Quad:
     return plane_join(s.kind, tuple(out))
 
 
+# |uv| <= c*|u|*|v| with the sharp c = 1/|e| for the shortest element e of
+# the idempotent basis: the split parts are orthogonal, with weights |e|^2.
 _GLOBAL_MUL_FACTOR = {
-    AlgebraKind.CIRCULAR: _SQRT2,
-    AlgebraKind.PLANAR: _SQRT2,
-    AlgebraKind.HYPERBOLIC: 2.0,
-    AlgebraKind.POLAR: 2.0,
+    kind: math.sqrt(1.0 / min(sum(c * c for c in e.components) for e in basis))
+    for kind, basis in CANONICAL_BASES.items()
 }
 
 
@@ -172,60 +177,29 @@ def convergence_bounds(s: SeriesSpec) -> ConvergenceBounds:
 
 # -- analyticity checks ----------------------------------------------------
 
-# Chains of first partials (component, variable, sign) equal in sequence for
-# analytic f = P + alpha Q + beta R + gamma S; variables indexed x=0..t=3.
-# Consecutive equalities give the kind's 12 Riemann-type relations.
-_FIRST_ORDER_CHAINS: dict[AlgebraKind, tuple[tuple[tuple[int, int, int], ...], ...]] = {
-    AlgebraKind.CIRCULAR: (
-        ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
-        ((1, 0, 1), (0, 1, -1), (3, 2, -1), (2, 3, 1)),
-        ((2, 0, 1), (3, 1, -1), (0, 2, -1), (1, 3, 1)),
-        ((3, 0, 1), (2, 1, 1), (1, 2, 1), (0, 3, 1)),
-    ),
-    AlgebraKind.HYPERBOLIC: (
-        ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
-        ((1, 0, 1), (0, 1, 1), (3, 2, 1), (2, 3, 1)),
-        ((2, 0, 1), (3, 1, 1), (0, 2, 1), (1, 3, 1)),
-        ((3, 0, 1), (2, 1, 1), (1, 2, 1), (0, 3, 1)),
-    ),
-    AlgebraKind.PLANAR: (
-        ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
-        ((1, 0, 1), (2, 1, 1), (3, 2, 1), (0, 3, -1)),
-        ((2, 0, 1), (3, 1, 1), (0, 2, -1), (1, 3, -1)),
-        ((3, 0, 1), (0, 1, -1), (1, 2, -1), (2, 3, -1)),
-    ),
-    AlgebraKind.POLAR: (
-        ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
-        ((1, 0, 1), (2, 1, 1), (3, 2, 1), (0, 3, 1)),
-        ((2, 0, 1), (3, 1, 1), (0, 2, 1), (1, 3, 1)),
-        ((3, 0, 1), (0, 1, 1), (1, 2, 1), (2, 3, 1)),
-    ),
-}
+# An analytic f = P + alpha Q + beta R + gamma S has df/dx_k = e_k f' and
+# d2f/dx_i dx_j = e_i e_j f'' (variables indexed x=0..t=3), so the kind's
+# analyticity relations are read off its unit products.
 
-# Second-order equations d2/didj + sign * d2/dkdl = 0, applied to all four
-# components; (i, j, k, l, sign) with the same variable indexing.
-_SECOND_ORDER_EQS: dict[AlgebraKind, tuple[tuple[int, int, int, int, int], ...]] = {
-    AlgebraKind.CIRCULAR: (
-        (0, 0, 1, 1, 1), (0, 0, 2, 2, 1), (1, 1, 3, 3, 1), (2, 2, 3, 3, 1),
-        (0, 0, 3, 3, -1), (1, 1, 2, 2, -1),
-        (0, 1, 2, 3, -1), (0, 2, 1, 3, -1), (0, 3, 1, 2, 1),
-    ),
-    AlgebraKind.HYPERBOLIC: (
-        (0, 0, 1, 1, -1), (0, 0, 2, 2, -1), (1, 1, 3, 3, -1), (2, 2, 3, 3, -1),
-        (0, 0, 3, 3, -1), (1, 1, 2, 2, -1),
-        (0, 1, 2, 3, -1), (0, 2, 1, 3, -1), (0, 3, 1, 2, -1),
-    ),
-    AlgebraKind.PLANAR: (
-        (0, 0, 2, 2, 1), (1, 1, 3, 3, 1),
-        (0, 0, 1, 3, 1), (1, 1, 0, 2, -1), (2, 2, 1, 3, -1), (3, 3, 0, 2, 1),
-        (0, 1, 2, 3, 1), (0, 3, 1, 2, -1),
-    ),
-    AlgebraKind.POLAR: (
-        (0, 0, 2, 2, -1), (1, 1, 3, 3, -1),
-        (0, 0, 1, 3, -1), (1, 1, 0, 2, -1), (2, 2, 1, 3, -1), (3, 3, 0, 2, -1),
-        (0, 1, 2, 3, -1), (0, 3, 1, 2, -1),
-    ),
-}
+def _first_order_chains(table: tuple) -> tuple:
+    """Chain c lists (m, k, s) with e_k*e_c = s*e_m; the partials s*D[m][k]
+    are equal along it, giving the kind's 12 Riemann-type relations."""
+    return tuple(tuple((m, k, s) for k, (m, s) in enumerate(column))
+                 for column in zip(*table))
+
+
+def _second_order_relations(table: tuple) -> tuple:
+    """(i, j, k, l, -s1*s2) for each two index pairs with e_i e_j = s1*e_m
+    and e_k e_l = s2*e_m: d2/didj - s1*s2 * d2/dkdl = 0."""
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    return tuple((i, j, k, l, -table[i][j][1] * table[k][l][1])
+                 for n, (i, j) in enumerate(pairs) for k, l in pairs[n + 1:]
+                 if table[i][j][0] == table[k][l][0])
+
+
+_UNIT_PRODUCTS = {kind: _unit_products(kind) for kind in AlgebraKind}
+_CHAINS = {k: _first_order_chains(t) for k, t in _UNIT_PRODUCTS.items()}
+_SECOND_ORDER = {k: _second_order_relations(t) for k, t in _UNIT_PRODUCTS.items()}
 
 
 def _shift(u: Quad, j: int, h: float) -> Quad:
@@ -250,7 +224,7 @@ def check_analytic(f, u0: Quad, h: float = 1e-5) -> float:
         for i in range(4):
             D[i][j] = (up[i] - um[i]) / (2.0 * h)
     worst = 0.0
-    for chain in _FIRST_ORDER_CHAINS[u0.kind]:
+    for chain in _CHAINS[u0.kind]:
         vals = [sign * D[comp][var] for comp, var, sign in chain]
         for a, b in zip(vals, vals[1:]):
             worst = max(worst, abs(a - b))
@@ -285,7 +259,7 @@ def check_second_order(f, u0: Quad, h: float = 1e-4) -> float:
         return val
 
     worst = 0.0
-    for i, j, k, l, sign in _SECOND_ORDER_EQS[u0.kind]:
+    for i, j, k, l, sign in _SECOND_ORDER[u0.kind]:
         d1 = second(i, j)
         d2 = second(k, l)
         for c in range(4):
@@ -508,8 +482,11 @@ def winding(q: WindingQuery) -> int:
     return n
 
 
-def _unit(kind: AlgebraKind, x: float, y: float, z: float, t: float) -> Quad:
-    return Quad(kind, x, y, z, t)
+def _residue_units(kind: AlgebraKind) -> tuple[Quad, Quad]:
+    """2*pi*i on one complex plane of the split, joined back; zero-padded."""
+    found = [plane_join(kind, tuple(_TWO_PI * p for p in b))
+             for b in _split_basis(kind) if 1j in b]
+    return tuple(found + [zero(kind)] * (2 - len(found)))
 
 
 # Residue units: the value of the loop integral of du/(u - u0) when the
@@ -517,31 +494,16 @@ def _unit(kind: AlgebraKind, x: float, y: float, z: float, t: float) -> Quad:
 # distinguished plane.  Hyperbolic loops carry no residue at all; polar
 # residues arise only from the (v1, v1~) plane.
 RESIDUE_UNITS: dict[AlgebraKind, tuple[Quad, Quad]] = {
-    AlgebraKind.CIRCULAR: (
-        _unit(AlgebraKind.CIRCULAR, 0.0, _PI, _PI, 0.0),
-        _unit(AlgebraKind.CIRCULAR, 0.0, _PI, -_PI, 0.0),
-    ),
-    AlgebraKind.PLANAR: (
-        _unit(AlgebraKind.PLANAR, 0.0, _PI / _SQRT2, _PI, _PI / _SQRT2),
-        _unit(AlgebraKind.PLANAR, 0.0, _PI / _SQRT2, -_PI, _PI / _SQRT2),
-    ),
-    AlgebraKind.POLAR: (
-        _unit(AlgebraKind.POLAR, 0.0, _PI, 0.0, -_PI),
-        _unit(AlgebraKind.POLAR, 0.0, 0.0, 0.0, 0.0),
-    ),
-    AlgebraKind.HYPERBOLIC: (
-        _unit(AlgebraKind.HYPERBOLIC, 0.0, 0.0, 0.0, 0.0),
-        _unit(AlgebraKind.HYPERBOLIC, 0.0, 0.0, 0.0, 0.0),
-    ),
-}
+    kind: _residue_units(kind) for kind in AlgebraKind}
 
 
 def residue_prediction(poles, loop: Loop) -> Quad:
     """Closed-form prediction of the loop integral of sum a_j/(u - u_j).
 
     The winding planes are the complex entries of ``plane_split``; in each,
-    the residue unit times a_j counts once per signed turn of the loop's
-    projection about the pole's.  Hyperbolic predictions are identically 0.
+    2*pi*i times a_j's split entry counts once per signed turn of the loop's
+    projection about the pole's, and the sums are joined back once.
+    Hyperbolic predictions are identically 0.
 
     Raises:
         OnBoundary: a pole projection lies on a loop projection.
@@ -550,18 +512,18 @@ def residue_prediction(poles, loop: Loop) -> Quad:
             projection (quadrature accuracy degrades).
     """
     kind = loop.kind
-    total = zero(kind)
     splits = [plane_split(p) for p in loop.points]
     planes = [j for j, p in enumerate(splits[0]) if p.__class__ is complex]
     if not planes:
-        return total
+        return zero(kind)
     projections = [tuple((w[j].real, w[j].imag) for w in splits)
                    for j in planes]
-    units = RESIDUE_UNITS[kind]
+    total = [0.0] * len(splits[0])
     for u_j, a_j in poles:
         if u_j.kind is not kind or a_j.kind is not kind:
             raise ValueError("pole kind does not match loop kind")
         pole_parts = plane_split(u_j)
+        a_parts = plane_split(a_j)
         for plane_idx, (j, poly) in enumerate(zip(planes, projections)):
             pt = (pole_parts[j].real, pole_parts[j].imag)
             dist = _polygon_distance(pt, poly)
@@ -574,5 +536,5 @@ def residue_prediction(poles, loop: Loop) -> Quad:
                 )
             n = winding(WindingQuery(point2d=pt, polygon2d=poly))
             if n:
-                total = total + scale(mul(units[plane_idx], a_j), n)
-    return total
+                total[j] += _TWO_PI_I * n * a_parts[j]
+    return plane_join(kind, tuple(total))

@@ -15,7 +15,11 @@ re-exported here) expose the decoupling as plain complex/real numbers;
 every map is an exact unital ring homomorphism per plane, which is what
 makes the exponential forms, logarithms, series and factorizations in the
 other modules one-plane-at-a-time computations.  The canonical
-coordinates are the split parts themselves, flattened and scaled.
+coordinates are the split parts themselves, flattened and scaled;
+``canonical_mul`` multiplies them part by part, and each idempotent-basis
+element is the join of one split-basis vector (1, or i on a plane).  Only
+the record types, their scales and the exponential/trigonometric charts
+are written out per kind.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .algebra_core import (
     DomainError,
     Quad,
     _domain_split,
+    _flatten,
+    _split_basis,
     modulus,
     plane_join,
     plane_split,
@@ -126,54 +132,22 @@ _KIND_OF_CANONICAL = {v: k for k, v in _CANONICAL_TYPE.items()}
 
 # -- idempotent / canonical bases ----------------------------------------
 
-_H = 0.5 / _SQRT2  # 1/(2*sqrt(2))
-
-CIRCULAR_E1 = Quad(AlgebraKind.CIRCULAR, 0.5, 0.0, 0.0, 0.5)
-CIRCULAR_E1_TILDE = Quad(AlgebraKind.CIRCULAR, 0.0, 0.5, 0.5, 0.0)
-CIRCULAR_E2 = Quad(AlgebraKind.CIRCULAR, 0.5, 0.0, 0.0, -0.5)
-CIRCULAR_E2_TILDE = Quad(AlgebraKind.CIRCULAR, 0.0, 0.5, -0.5, 0.0)
-
-HYPERBOLIC_E = Quad(AlgebraKind.HYPERBOLIC, 0.25, 0.25, 0.25, 0.25)
-HYPERBOLIC_E_PRIME = Quad(AlgebraKind.HYPERBOLIC, 0.25, -0.25, 0.25, -0.25)
-HYPERBOLIC_E_DOUBLE_PRIME = Quad(AlgebraKind.HYPERBOLIC, 0.25, 0.25, -0.25, -0.25)
-HYPERBOLIC_E_TRIPLE_PRIME = Quad(AlgebraKind.HYPERBOLIC, 0.25, -0.25, -0.25, 0.25)
-
-PLANAR_E1 = Quad(AlgebraKind.PLANAR, 0.5, _H, 0.0, -_H)
-PLANAR_E1_TILDE = Quad(AlgebraKind.PLANAR, 0.0, _H, 0.5, _H)
-PLANAR_E2 = Quad(AlgebraKind.PLANAR, 0.5, -_H, 0.0, _H)
-PLANAR_E2_TILDE = Quad(AlgebraKind.PLANAR, 0.0, _H, -0.5, _H)
-
-POLAR_E_PLUS = Quad(AlgebraKind.POLAR, 0.25, 0.25, 0.25, 0.25)
-POLAR_E_MINUS = Quad(AlgebraKind.POLAR, 0.25, -0.25, 0.25, -0.25)
-POLAR_E1 = Quad(AlgebraKind.POLAR, 0.5, 0.0, -0.5, 0.0)
-POLAR_E1_TILDE = Quad(AlgebraKind.POLAR, 0.0, 0.5, 0.0, -0.5)
-
+# Each basis element is the join of one split-basis vector: 1 on a real
+# line (an idempotent), 1 or i on a complex plane (an idempotent and its
+# tilde partner, which squares to minus it).
 CANONICAL_BASES: dict[AlgebraKind, tuple[Quad, ...]] = {
-    AlgebraKind.CIRCULAR: (
-        CIRCULAR_E1,
-        CIRCULAR_E1_TILDE,
-        CIRCULAR_E2,
-        CIRCULAR_E2_TILDE,
-    ),
-    AlgebraKind.HYPERBOLIC: (
-        HYPERBOLIC_E,
-        HYPERBOLIC_E_PRIME,
-        HYPERBOLIC_E_DOUBLE_PRIME,
-        HYPERBOLIC_E_TRIPLE_PRIME,
-    ),
-    AlgebraKind.PLANAR: (
-        PLANAR_E1,
-        PLANAR_E1_TILDE,
-        PLANAR_E2,
-        PLANAR_E2_TILDE,
-    ),
-    AlgebraKind.POLAR: (
-        POLAR_E_PLUS,
-        POLAR_E_MINUS,
-        POLAR_E1,
-        POLAR_E1_TILDE,
-    ),
+    kind: tuple(plane_join(kind, b) for b in _split_basis(kind))
+    for kind in AlgebraKind
 }
+
+CIRCULAR_E1, CIRCULAR_E1_TILDE, CIRCULAR_E2, CIRCULAR_E2_TILDE = (
+    CANONICAL_BASES[AlgebraKind.CIRCULAR])
+(HYPERBOLIC_E, HYPERBOLIC_E_PRIME, HYPERBOLIC_E_DOUBLE_PRIME,
+ HYPERBOLIC_E_TRIPLE_PRIME) = CANONICAL_BASES[AlgebraKind.HYPERBOLIC]
+PLANAR_E1, PLANAR_E1_TILDE, PLANAR_E2, PLANAR_E2_TILDE = (
+    CANONICAL_BASES[AlgebraKind.PLANAR])
+POLAR_E_PLUS, POLAR_E_MINUS, POLAR_E1, POLAR_E1_TILDE = (
+    CANONICAL_BASES[AlgebraKind.POLAR])
 
 
 # -- coordinate maps ------------------------------------------------------
@@ -196,57 +170,37 @@ _IS_PLANE = {
 }
 
 
+def _regroup(c: CanonicalCoords, scale: float) -> tuple:
+    """The record's fields, times scale, grouped back into split parts."""
+    flat = iter([scale * getattr(c, name) for name in c.__slots__])
+    return tuple(complex(next(flat), next(flat)) if plane else next(flat)
+                 for plane in _IS_PLANE[_KIND_OF_CANONICAL[type(c)]])
+
+
 def to_canonical(u: Quad) -> CanonicalCoords:
     """Linear map into the kind's decoupling coordinates."""
     c = _CANONICAL_SCALE[u.kind]
-    flat = []
-    for p in plane_split(u):
-        if p.__class__ is complex:
-            flat += (p.real / c, p.imag / c)
-        else:
-            flat.append(p / c)
-    return _CANONICAL_TYPE[u.kind](*flat)
+    return _CANONICAL_TYPE[u.kind](*[v / c for v in _flatten(plane_split(u))])
 
 
 def from_canonical(c: CanonicalCoords) -> Quad:
     """Inverse of :func:`to_canonical`."""
     kind = _KIND_OF_CANONICAL[type(c)]
-    scale = _CANONICAL_SCALE[kind]
-    flat = iter([scale * getattr(c, name) for name in c.__slots__])
-    return plane_join(kind, tuple(
-        complex(next(flat), next(flat)) if plane else next(flat)
-        for plane in _IS_PLANE[kind]))
+    return plane_join(kind, _regroup(c, _CANONICAL_SCALE[kind]))
 
 
 def canonical_mul(c1: CanonicalCoords, c2: CanonicalCoords) -> CanonicalCoords:
     """Product expressed directly in canonical coordinates.
 
-    Circular/planar: two independent complex products scaled by sqrt(2);
-    hyperbolic: four real products; polar: two real products plus one
-    plain complex product.
+    The fields regroup into the split parts, which multiply one by one
+    (complex products on the planes, real ones on the lines); the result
+    is scaled by the kind's scale (sqrt(2) for circular/planar, else 1).
     """
     if type(c1) is not type(c2):
         raise ValueError(f"kind mismatch: {type(c1).__name__} vs {type(c2).__name__}")
-    if isinstance(c1, (CanonicalCircular, CanonicalPlanar)):
-        return type(c1)(
-            xi=_SQRT2 * (c1.xi * c2.xi - c1.upsilon * c2.upsilon),
-            upsilon=_SQRT2 * (c1.xi * c2.upsilon + c1.upsilon * c2.xi),
-            tau=_SQRT2 * (c1.tau * c2.tau - c1.zeta * c2.zeta),
-            zeta=_SQRT2 * (c1.tau * c2.zeta + c1.zeta * c2.tau),
-        )
-    if isinstance(c1, CanonicalHyperbolic):
-        return CanonicalHyperbolic(
-            s=c1.s * c2.s,
-            s_prime=c1.s_prime * c2.s_prime,
-            s_double_prime=c1.s_double_prime * c2.s_double_prime,
-            s_triple_prime=c1.s_triple_prime * c2.s_triple_prime,
-        )
-    return CanonicalPolar(
-        v_plus=c1.v_plus * c2.v_plus,
-        v_minus=c1.v_minus * c2.v_minus,
-        v1=c1.v1 * c2.v1 - c1.v1_tilde * c2.v1_tilde,
-        v1_tilde=c1.v1 * c2.v1_tilde + c1.v1_tilde * c2.v1,
-    )
+    c = _CANONICAL_SCALE[_KIND_OF_CANONICAL[type(c1)]]
+    products = [p * q for p, q in zip(_regroup(c1, 1.0), _regroup(c2, 1.0))]
+    return type(c1)(*[c * v for v in _flatten(products)])
 
 
 # -- exponential form ------------------------------------------------------
@@ -283,11 +237,22 @@ class ExpForm:
                 raise ValueError(f"{self.kind} exp form does not take field {name}")
 
 
+# Each kind's fields with their ranges, checked by from_exp_form: the
+# periodic phi and chi and the free y1, z1, t1 need only be finite.  No
+# double equals pi/2 and math.pi / 2 rounds below it, so lo < v <= hi keeps
+# every range open.
+_POSITIVE = (0.0, math.inf, " > 0")
+_ANGLE = (0.0, math.pi / 2.0, " in (0, pi/2)")
+_FINITE = (-math.inf, math.inf, "")
 _EXPFORM_FIELDS = {
-    AlgebraKind.CIRCULAR: ("rho", "phi", "chi", "psi"),
-    AlgebraKind.PLANAR: ("rho", "phi", "chi", "psi"),
-    AlgebraKind.HYPERBOLIC: ("mu", "y1", "z1", "t1"),
-    AlgebraKind.POLAR: ("rho", "theta_plus", "theta_minus", "phi"),
+    AlgebraKind.CIRCULAR: {"rho": _POSITIVE, "phi": _FINITE, "chi": _FINITE,
+                           "psi": _ANGLE},
+    AlgebraKind.PLANAR: {"rho": _POSITIVE, "phi": _FINITE, "chi": _FINITE,
+                         "psi": _ANGLE},
+    AlgebraKind.HYPERBOLIC: {"mu": _POSITIVE, "y1": _FINITE, "z1": _FINITE,
+                             "t1": _FINITE},
+    AlgebraKind.POLAR: {"rho": _POSITIVE, "theta_plus": _ANGLE,
+                        "theta_minus": _ANGLE, "phi": _FINITE},
 }
 
 _EXPFORM_UNUSED = {
@@ -403,8 +368,15 @@ def from_exp_form(f: ExpForm) -> Quad:
     """Evaluate the exponential form back into a Quad (inverse of exp_form).
 
     Raises:
+        DomainError: a field is not finite or lies outside its range,
+            naming the field.
         ResultOverflow: the value lies beyond the range of a double.
     """
+    for name, (lo, hi, text) in _EXPFORM_FIELDS[f.kind].items():
+        v = getattr(f, name)
+        if not (lo < v <= hi and math.isfinite(v)):
+            raise DomainError(
+                f"{f.kind} exp form requires finite {name}{text}; got {v!r}")
     return elementary.exp(_exponent_quad(f))
 
 

@@ -1,13 +1,15 @@
 """4x4 real matrix representation of each algebra.
 
-represent(u) is the matrix of multiplication by u, so it is an algebra
+represent(u) is the matrix of multiplication by u, its rows the kind's
+product kernel applied to u and each unit, so it is an algebra
 homomorphism and its determinant equals the kind's quartic amplitude
 (rho**4 or nu) — vanishing exactly on the nodal sets.  A fixed orthogonal
-change of basis T (rows = the canonical directions, ``CHANGE_OF_BASIS``)
-block-diagonalizes every represent(u) simultaneously: two 2x2
-rotation-like blocks for circular/planar, a full diagonal for hyperbolic,
-and 1+1+2 for polar.  ``block_diagonalize`` writes those blocks straight
-from the ``plane_split`` values instead of forming T * represent(u) * T^-1.
+change of basis T (rows = the canonical directions read off the split of
+the units, ``CHANGE_OF_BASIS``) block-diagonalizes every represent(u)
+simultaneously: two 2x2 rotation-like blocks for circular/planar, a full
+diagonal for hyperbolic, and 1+1+2 for polar.  ``block_diagonalize``
+writes those blocks straight from the ``plane_split`` values instead of
+forming T * represent(u) * T^-1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraKind, Quad, plane_split, units
+from .algebra_core import _MUL, AlgebraKind, Quad, _flatten, plane_split, units
 
 __all__ = [
     "Matrix4",
@@ -70,19 +72,18 @@ class Matrix4:
         return Matrix4(tuple(out))
 
 
+# Components of the units 1, alpha, beta, gamma (the same in every kind).
+_UNIT_COMPONENTS = tuple(e.components for e in units(AlgebraKind.CIRCULAR))
+
+
 def represent(u: Quad) -> Matrix4:
-    """Matrix of v -> u*v in the (1, alpha, beta, gamma) basis."""
-    x, y, z, t = u.components
-    kind = u.kind
-    if kind is AlgebraKind.CIRCULAR:
-        rows = ((x, y, z, t), (-y, x, t, -z), (-z, t, x, -y), (t, z, y, x))
-    elif kind is AlgebraKind.HYPERBOLIC:
-        rows = ((x, y, z, t), (y, x, t, z), (z, t, x, y), (t, z, y, x))
-    elif kind is AlgebraKind.PLANAR:
-        rows = ((x, y, z, t), (-t, x, y, z), (-z, -t, x, y), (-y, -z, -t, x))
-    else:
-        rows = ((x, y, z, t), (t, x, y, z), (z, t, x, y), (y, z, t, x))
-    return Matrix4.from_rows(rows)
+    """Matrix of v -> u*v in the (1, alpha, beta, gamma) basis.
+
+    Row k holds the components of u*e_k, from the kind's product kernel.
+    """
+    product = _MUL[u.kind]
+    x, y, z, t = u.x, u.y, u.z, u.t
+    return Matrix4.from_rows(product(x, y, z, t, *e) for e in _UNIT_COMPONENTS)
 
 
 def determinant(m: Matrix4) -> float:
@@ -109,34 +110,17 @@ def _build_change_of_basis() -> dict[AlgebraKind, tuple[Matrix4, Matrix4]]:
     for kind in AlgebraKind:
         # Column k is the split of unit k, planes flattened to (real, imag),
         # so row i is split coordinate i as a functional of (x, y, z, t).
-        columns = []
-        for e in units(kind):
-            column = []
-            for p in plane_split(e):
-                column += (p.real, p.imag) if p.__class__ is complex else (p,)
-            columns.append(column)
+        columns = [_flatten(plane_split(e)) for e in units(kind)]
         rows = []
         for row in zip(*columns):
             norm = math.sqrt(sum(v * v for v in row))
             rows.append([v / norm for v in row])
         t = Matrix4.from_rows(rows)
-        t_inv = t.transpose()
-        # The normalized rows must be orthonormal; verify once and hard-fail
-        # loudly.
-        gram = t @ t_inv
-        for i in range(4):
-            for j in range(4):
-                expected = 1.0 if i == j else 0.0
-                if abs(gram.at(i, j) - expected) > 1e-14:
-                    raise AssertionError(
-                        f"{kind} change of basis is not orthonormal: "
-                        f"gram[{i}][{j}] = {gram.at(i, j)!r}"
-                    )
-        out[kind] = (t, t_inv)
+        out[kind] = (t, t.transpose())
     return out
 
 
-# (T, T^-1) per kind; T^-1 is the transpose, checked orthonormal at import.
+# (T, T^-1) per kind; the rows of T are orthonormal, so T^-1 is its transpose.
 CHANGE_OF_BASIS: dict[AlgebraKind, tuple[Matrix4, Matrix4]] = _build_change_of_basis()
 
 

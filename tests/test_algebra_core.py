@@ -27,7 +27,7 @@ from quadfield import (
     units,
     zero,
 )
-from quadfield.algebra_core import BACKEND
+from quadfield.algebra_core import BACKEND, _unit_products
 
 from conftest import (
     KINDS,
@@ -67,6 +67,15 @@ def test_unit_products(kind):
         )
         # the table is symmetric
         assert mul(basis[j], basis[i]).components == expected.components
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unit_products_table_read_off_the_kernel(kind):
+    table = _unit_products(kind)
+    for i in range(4):
+        assert table[0][i] == table[i][0] == (i, 1)
+    for (i, j), (sign, index) in MUL_TABLE[kind].items():
+        assert table[i][j] == table[j][i] == (index, sign)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -432,6 +432,20 @@ class TestResiduePrediction:
         base = residue_prediction([(u0, one(kind))], loop)
         assert max_abs_diff(pred, scale(base, 2.0)) < 1e-12
 
+    @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR,
+                                      AlgebraKind.PLANAR, AlgebraKind.POLAR])
+    def test_general_coefficient_times_residue_unit(self, kind):
+        # a pole at the centre of a plus-plane circle, with a coefficient
+        # that is not a real multiple of 1
+        rng = random.Random(31)
+        u0 = Quad(kind, 1.0, 0.2, 0.1, -0.1)
+        loop = Loop.circle(u0 + Quad(kind, 0.2, 0.0, 0.2, 0.0), 1.0,
+                           samples=64)
+        for _ in range(20):
+            a = random_quad(kind, rng)
+            pred = residue_prediction([(u0, a)], loop)
+            assert max_abs_diff(pred, mul(RESIDUE_UNITS[kind][0], a)) < 1e-14
+
     def test_two_poles_sum(self):
         kind = AlgebraKind.CIRCULAR
         loop = Loop.circle(zero(kind), 1.0, samples=64)

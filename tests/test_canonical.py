@@ -270,6 +270,58 @@ class TestExpForm:
                                "chi": 0.0, "psi": 0.5, "mu": 3.0})  # stray field
 
 
+# A valid exp form of each kind; each case below spoils one field.
+VALID_FIELDS = {
+    AlgebraKind.CIRCULAR: dict(rho=1.5, phi=0.3, chi=5.0, psi=0.7),
+    AlgebraKind.PLANAR: dict(rho=1.5, phi=0.3, chi=5.0, psi=0.7),
+    AlgebraKind.HYPERBOLIC: dict(mu=1.5, y1=0.3, z1=-0.2, t1=0.1),
+    AlgebraKind.POLAR: dict(rho=1.5, theta_plus=0.6, theta_minus=0.9,
+                            phi=0.3),
+}
+FIELD_CASES = [(kind, name) for kind, fields in VALID_FIELDS.items()
+               for name in fields]
+OUT_OF_RANGE = {
+    "rho": (0.0, -1.0, -math.inf),
+    "mu": (0.0, -1.0),
+    "psi": (0.0, -0.1, 1.6, math.pi),
+    "theta_plus": (0.0, -0.1, 1.6),
+    "theta_minus": (0.0, -0.1, 1.6),
+}
+
+
+class TestExpFormRanges:
+    @pytest.mark.parametrize("kind,name", FIELD_CASES)
+    def test_non_finite_field_is_domain_error(self, kind, name):
+        for bad in (math.inf, -math.inf, math.nan):
+            f = ExpForm(kind=kind, **{**VALID_FIELDS[kind], name: bad})
+            with pytest.raises(DomainError, match=rf"finite {name}\b"):
+                from_exp_form(f)
+
+    @pytest.mark.parametrize("kind,name", [
+        case for case in FIELD_CASES if case[1] in OUT_OF_RANGE])
+    def test_out_of_range_field_is_domain_error(self, kind, name):
+        for bad in OUT_OF_RANGE[name]:
+            f = ExpForm(kind=kind, **{**VALID_FIELDS[kind], name: bad})
+            with pytest.raises(DomainError, match=rf"finite {name}\b"):
+                from_exp_form(f)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_open_range_ends_and_periodic_angles_accepted(self, kind):
+        base = from_exp_form(ExpForm(kind=kind, **VALID_FIELDS[kind]))
+        # no double equals pi/2: the one nearest it lies inside (0, pi/2)
+        for name in ("psi", "theta_plus", "theta_minus"):
+            if name in VALID_FIELDS[kind]:
+                from_exp_form(ExpForm(kind=kind, **{**VALID_FIELDS[kind],
+                                                    name: math.pi / 2}))
+        # phi and chi are periodic, not range-checked
+        for name in ("phi", "chi"):
+            if name in VALID_FIELDS[kind]:
+                v = VALID_FIELDS[kind][name]
+                f = ExpForm(kind=kind, **{**VALID_FIELDS[kind],
+                                          name: v - 3 * TWO_PI})
+                assert max_abs_diff(from_exp_form(f), base) < 1e-12
+
+
 class TestTrigForm:
     @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_on_domain(self, kind):

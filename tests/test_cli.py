@@ -2,18 +2,31 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import quadfield
 from quadfield import AlgebraKind, Quad, cosexp, exp_form, expform_to_dict, f4
 from quadfield.cli import COSEXP_MAX_ROWS, LOOP_MAX_SAMPLES, main
 
+# The directory the tests import quadfield from, so that a child process
+# runs the same package, installed or not.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(quadfield.__file__))
+
+
+def run_python(*args, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
 
 def run_pkg(*args, env=None):
-    cmd = [sys.executable, "-m", "quadfield", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return run_python("-m", "quadfield", *args, env=env)
 
 
 def run_main(capsys, *args):
@@ -33,8 +46,7 @@ class TestEntryPoints:
             assert name in cp.stdout
 
     def test_module_help(self):
-        cp = subprocess.run([sys.executable, "-m", "quadfield.cli", "--help"],
-                            capture_output=True, text=True)
+        cp = run_python("-m", "quadfield.cli", "--help")
         assert cp.returncode == 0, cp.stderr
 
     def test_no_command_is_usage_error(self):
@@ -192,6 +204,23 @@ class TestExpform:
                                 "--u", "1,2,0,0")
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("kind,payload,field", [
+        ("polar", {"kind": "polar", "rho": 1, "theta_plus": 0,
+                   "theta_minus": 1, "phi": 0}, "theta_plus"),
+        ("circular", {"kind": "circular", "rho": 1, "phi": 0, "chi": 0,
+                      "psi": 0}, "psi"),
+        ("circular", {"kind": "circular", "rho": -1, "phi": 0, "chi": 0,
+                      "psi": 0.5}, "rho"),
+    ])
+    def test_field_out_of_range_is_json_domain_error(self, kind, payload,
+                                                      field):
+        cp = run_pkg("expform", "--kind", kind, "--json", json.dumps(payload))
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stderr == ""
+        error = json.loads(cp.stdout)
+        assert error["error"] == "DomainError"
+        assert f"finite {field} " in error["message"]
 
     def test_overflow_is_json_error_exit_2(self):
         payload = {"kind": "hyperbolic", "mu": 1.0, "y1": 800, "z1": 0,

@@ -237,10 +237,10 @@ class ExpForm:
                 raise ValueError(f"{self.kind} exp form does not take field {name}")
 
 
-# Each kind's fields with their ranges, checked by from_exp_form: the
-# periodic phi and chi and the free y1, z1, t1 need only be finite.  No
-# double equals pi/2 and math.pi / 2 rounds below it, so lo < v <= hi keeps
-# every range open.
+# Each kind's fields with their ranges, checked by from_exp_form and
+# exp_form: the periodic phi and chi and the free y1, z1, t1 need only be
+# finite.  No double equals pi/2 and math.pi / 2 rounds below it, so
+# lo < v <= hi keeps every range open.
 _POSITIVE = (0.0, math.inf, " > 0")
 _ANGLE = (0.0, math.pi / 2.0, " in (0, pi/2)")
 _FINITE = (-math.inf, math.inf, "")
@@ -260,6 +260,21 @@ _EXPFORM_UNUSED = {
                 if name != "kind" and name not in required)
     for kind, required in _EXPFORM_FIELDS.items()
 }
+
+
+def _checked(f: ExpForm) -> ExpForm:
+    """f, after checking every field against its range in _EXPFORM_FIELDS.
+
+    Raises:
+        DomainError: naming the first field that is not finite or lies
+            outside its range.
+    """
+    for name, (lo, hi, text) in _EXPFORM_FIELDS[f.kind].items():
+        v = getattr(f, name)
+        if not (lo < v <= hi and math.isfinite(v)):
+            raise DomainError(
+                f"{f.kind} exp form requires finite {name}{text}; got {v!r}")
+    return f
 
 
 def expform_to_dict(f: ExpForm) -> dict:
@@ -291,42 +306,57 @@ def _angle(y: float, x: float) -> float:
 def exp_form(u: Quad) -> ExpForm:
     """Extract amplitude and angles; rejects values outside the domain.
 
+    rho is recomputed from square roots of its factors when their product
+    under- or overflows, so it is not lost to an intermediate result.
+
     Raises:
         DomainError: naming the violated condition (never clamps — a
             rejected input is always within rounding of a nodal set or on
-            the wrong side of one).
+            the wrong side of one), or naming a field that leaves its range
+            at the ends of the double range (psi = atan2(rho_plus,
+            rho_minus) underflows to 0 when the ratio does), so every form
+            returned is one that from_exp_form accepts.
     """
     kind = u.kind
     parts = _domain_split(u, "exp form")
     if kind is AlgebraKind.HYPERBOLIC:
         s, sp, spp, sppp = (math.log(v) for v in parts)
-        return ExpForm(
+        return _checked(ExpForm(
             kind=kind,
             mu=math.exp((s + sp + spp + sppp) / 4.0),
             y1=(s - sp + spp - sppp) / 4.0,
             z1=(s + sp - spp - sppp) / 4.0,
             t1=(s - sp - spp + sppp) / 4.0,
-        )
+        ))
     if kind is AlgebraKind.POLAR:
         vp, vm, w1 = parts
-        mu_plus = abs(w1)
-        return ExpForm(
+        try:
+            mu_plus = abs(w1)
+        except OverflowError:   # |w1| beyond the double range: rho fails below
+            mu_plus = math.inf
+        rho = (vp * vm * mu_plus * mu_plus) ** 0.25
+        if not 0.0 < rho < math.inf:   # the product under- or overflowed
+            rho = math.sqrt(math.sqrt(vp) * math.sqrt(vm)) * math.sqrt(mu_plus)
+        return _checked(ExpForm(
             kind=kind,
-            rho=(vp * vm * mu_plus * mu_plus) ** 0.25,
+            rho=rho,
             theta_plus=math.atan2(_SQRT2 * mu_plus, vp),
             theta_minus=math.atan2(_SQRT2 * mu_plus, vm),
             phi=_angle(w1.imag, w1.real),
-        )
+        ))
     w1, w2 = parts
     rho_plus = math.hypot(w1.real, w1.imag)
     rho_minus = math.hypot(w2.real, w2.imag)
-    return ExpForm(
+    rho = math.sqrt(rho_plus * rho_minus)
+    if not 0.0 < rho < math.inf:   # the product under- or overflowed
+        rho = math.sqrt(rho_plus) * math.sqrt(rho_minus)
+    return _checked(ExpForm(
         kind=kind,
-        rho=math.sqrt(rho_plus * rho_minus),
+        rho=rho,
         phi=_angle(w1.imag, w1.real),
         chi=_angle(w2.imag, w2.real),
         psi=math.atan2(rho_plus, rho_minus),
-    )
+    ))
 
 
 def _exponent_quad(f: ExpForm) -> Quad:
@@ -372,12 +402,7 @@ def from_exp_form(f: ExpForm) -> Quad:
             naming the field.
         ResultOverflow: the value lies beyond the range of a double.
     """
-    for name, (lo, hi, text) in _EXPFORM_FIELDS[f.kind].items():
-        v = getattr(f, name)
-        if not (lo < v <= hi and math.isfinite(v)):
-            raise DomainError(
-                f"{f.kind} exp form requires finite {name}{text}; got {v!r}")
-    return elementary.exp(_exponent_quad(f))
+    return elementary.exp(_exponent_quad(_checked(f)))
 
 
 # -- trigonometric form ----------------------------------------------------

@@ -7,7 +7,12 @@ iteration, and the per-component roots are zipped back into 4-component
 roots.  Because each projection is a ring homomorphism, any zipping of
 the component roots reproduces the polynomial, which is why a degree-m
 polynomial factors in many distinct ways; `enumerate_factorizations`
-walks them.
+walks them.  It keeps the pairings whose root multiset is closed under
+conjugation, searching depth first over the component orders and cutting
+every prefix whose projected roots cannot be closed.  The cut only drops
+pairings that the final check would reject, so the results are those of a
+walk over every pairing.  A fixed work budget bounds the search; past
+it, `EnumerationBudgetExceeded` is raised.
 
 Components along the real lines (all four hyperbolic lines, the polar
 v+ and v- lines) can have complex roots.  Such roots have no real Quad
@@ -39,6 +44,7 @@ __all__ = [
     "Factorization",
     "ComplexQuad",
     "NoConvergence",
+    "EnumerationBudgetExceeded",
     "eval_poly",
     "factor",
     "enumerate_factorizations",
@@ -49,10 +55,20 @@ __all__ = [
 _DK_TOL = 1e-12
 _DK_CAP = 500
 _REAL_SNAP = 1e-8
+# Enumeration: the work budget in visits, the prefix test's relative
+# tolerance (see enumerate_factorizations) and the root size above which
+# the join may overflow and nothing is cut.
+_MAX_VISITS = 100_000
+_PAIR_TOL = 1e-6
+_PRUNE_LIMIT = 1e300
 
 
 class NoConvergence(QuadfieldError):
     """Root iteration exceeded its cap; message names the component."""
+
+
+class EnumerationBudgetExceeded(QuadfieldError):
+    """enumerate_factorizations used up its work budget; message names it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,15 +282,22 @@ def _eval_complexified(p: Poly, comps: tuple, kind: AlgebraKind) -> float:
     return math.sqrt(sum(abs(c) ** 2 for c in acc))
 
 
+def _line_flags(p: Poly) -> list[bool]:
+    """Per component, True for a real line and False for a complex plane
+    (plane_split gives a line's projection as a float)."""
+    return [v.__class__ is float for v in plane_split(p.coeffs[0])]
+
+
 def _component_root_lists(p: Poly) -> list[list[complex]]:
     """Sorted per-component roots of the projected polynomials."""
     kind = p.kind
     coeff_parts = [plane_split(a) for a in p.coeffs]
+    lines = _line_flags(p)
     lists: list[list[complex]] = []
     for j, name in enumerate(_component_names(kind)):
         comp_coeffs = [complex(parts[j]) for parts in coeff_parts]
         roots = _durand_kerner(comp_coeffs, name)
-        if coeff_parts[0][j].__class__ is float:  # a real line
+        if lines[j]:
             roots = _symmetrize_conjugates(roots)
         roots.sort(key=lambda z: (z.real, z.imag))
         lists.append(roots)
@@ -305,8 +328,13 @@ def factor(p: Poly) -> Factorization:
     return _assemble(p, tuple(tuple(lst) for lst in lists))
 
 
-def _conjugate_closed(roots) -> bool:
-    """True when the root multiset is closed under componentwise conjugation."""
+def _closed_key(roots):
+    """The rounded root multiset, or None when it is not closed under
+    componentwise conjugation.
+
+    Each root is keyed by its components' real and imaginary parts rounded
+    to 9 decimals; the sorted keys identify a factorization up to order.
+    """
     keys = sorted(
         tuple((round(complex(c).real, 9), round(complex(c).imag, 9))
               for c in r.components)
@@ -315,7 +343,70 @@ def _conjugate_closed(roots) -> bool:
     conj_keys = sorted(
         tuple((re, -im) for re, im in key) for key in keys
     )
-    return keys == conj_keys
+    return tuple(keys) if keys == conj_keys else None
+
+
+def _pairing_masks(values: list[complex], line: bool, tol: float) -> list[int]:
+    """Bit b of entry a is set when values[b] lies within tol of the
+    conjugate of values[a] (a line) or of values[a] itself (a plane), in
+    both the real and the imaginary part."""
+    masks = []
+    for a in values:
+        target = a.conjugate() if line else a
+        mask = 0
+        for b, v in enumerate(values):
+            if abs(v.real - target.real) <= tol and abs(v.imag - target.imag) <= tol:
+                mask |= 1 << b
+        masks.append(mask)
+    return masks
+
+
+def _narrow(rows: list[int], masks: list[int], perm: tuple[int, ...]):
+    """Add one component, in order `perm`, to the pairing candidates.
+
+    Bit k of rows[i] says root k may be the conjugate of root i on the
+    components so far; it survives when the new component agrees too.
+    Returns None as soon as some root is left without a candidate.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        ok = masks[perm[i]]
+        kept = 0
+        while row:
+            low = row & -row
+            if ok >> perm[low.bit_length() - 1] & 1:
+                kept |= low
+            row ^= low
+        if not kept:
+            return None
+        out.append(kept)
+    return out
+
+
+def _matchable(rows: list[int]) -> bool:
+    """True when some permutation sends every root i to a root k whose bit
+    is set in rows[i] (a perfect matching, by augmenting paths)."""
+    owner = [-1] * len(rows)
+    seen = 0
+
+    def augment(i: int) -> bool:
+        nonlocal seen
+        free = rows[i] & ~seen
+        while free:
+            low = free & -free
+            seen |= low
+            k = low.bit_length() - 1
+            if owner[k] < 0 or augment(owner[k]):
+                owner[k] = i
+                return True
+            free = rows[i] & ~seen
+        return False
+
+    for i in range(len(rows)):
+        seen = 0
+        if not augment(i):
+            return False
+    return True
 
 
 def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
@@ -325,29 +416,99 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
     components' root orders are permuted.  Results are deduplicated by
     rounded root multisets, restricted to conjugate-closed root sets
     (so complex roots always pair), and cut off at `cap`.
+
+    The pairings are walked depth first, one component at a time, in the
+    order of ``itertools.product`` over ``itertools.permutations`` of each
+    component after the first (the last component varies fastest).  A
+    prefix (components 0..j in their chosen orders) is cut when its root
+    tuples cannot be closed under conjugation: conjugation acts on the
+    join as conjugating every line entry and keeping every plane entry,
+    since `_join_components` puts a plane value's real and imaginary parts
+    into real components.  Closure of the full root multiset implies
+    closure of every such projection, so only leaves that the exact check
+    would reject are cut, and the list returned is the one the exhaustive
+    walk over every pairing returns: the same roots, residuals and order.
+
+    The prefix test allows a tolerance tol = 1e-6 * max(1, M), M the
+    largest |component root|.  It never cuts a leaf that the 9-decimal
+    key accepts: an accepted leaf has a permutation pi with key(r_pi(i))
+    = conj key(r_i).  Equal rounded parts differ by at most 1e-9 plus two
+    ulps, and `_as_root` drops imaginary parts up to 1e-8 * S on either
+    side, S = max(1, largest |joined component|) <= sqrt(2) * max(1, M)
+    up to rounding (the planar join reaches sqrt(2) * M; the others stay
+    within M).  So each real scalar of the joined roots satisfies
+    |J_pi(i) - conj J_i| <= 1e-9 + 2.9e-8 * max(1, M) + O(ulp * M).
+    The exact inverse of the join has row sums of at most 4 in every kind
+    and maps conj J to the conjugation of the component tuple, and the
+    join's own rounding adds a few ulps of M.  Each real scalar of the
+    component tuples then obeys |C_pi(i) - conj C_i| <= 4e-9 + 1.2e-7 *
+    max(1, M) + O(ulp * M) < 1.3e-7 * max(1, M), under a seventh of tol,
+    and the prefix test finds pi (it checks for any such permutation, by
+    matching).  When M is not finite or near the top of the double range,
+    where the join may overflow, nothing is cut.
+
+    The work is bounded by a budget of 100,000 visits (`_MAX_VISITS`).
+    A visit is one component order tested against a prefix, or one leaf
+    assembled.
+
+    Raises:
+        ValueError: `cap` is below 1.
+        NoConvergence: the root iteration stalled on some component.
+        EnumerationBudgetExceeded: the budget was used up before the
+            search ended or found `cap` factorizations.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap!r}")
     lists = _component_root_lists(p)
-    first = tuple(lists[0])
+    m = p.degree
+    full = (1 << m) - 1
+    scale = max((abs(v) for lst in lists for v in lst), default=0.0)
+    if scale < _PRUNE_LIMIT:
+        tol = _PAIR_TOL * max(1.0, scale)
+        masks = [_pairing_masks(lst, line, tol)
+                 for lst, line in zip(lists, _line_flags(p))]
+    else:  # not finite, or the join may overflow: cut nothing
+        masks = [[full] * m for _ in lists]
+    depth = len(lists)
+    chosen: list = [None] * depth
     seen: set = set()
     out: list[Factorization] = []
-    rest = [itertools.permutations(lst) for lst in lists[1:]]
-    for orders in itertools.product(*rest):
-        fact = _assemble(p, (first,) + tuple(orders))
-        if not _conjugate_closed(fact.roots):
-            continue
-        key = tuple(sorted(
-            tuple((round(complex(c).real, 9), round(complex(c).imag, 9))
-                  for c in r.components)
-            for r in fact.roots
-        ))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(fact)
-        if len(out) >= cap:
-            break
+    visits = 0
+
+    def visit() -> None:
+        nonlocal visits
+        if visits >= _MAX_VISITS:
+            raise EnumerationBudgetExceeded(
+                f"enumeration used its budget of {_MAX_VISITS} visits "
+                f"with {len(out)} of cap={cap} factorizations found")
+        visits += 1
+
+    def descend(j: int, rows: list[int]) -> bool:
+        """Walk component j's orders under a prefix; True once cap is met."""
+        orders = [tuple(range(m))] if j == 0 else itertools.permutations(range(m))
+        for perm in orders:
+            visit()
+            narrowed = _narrow(rows, masks[j], perm)
+            if narrowed is None or not _matchable(narrowed):
+                continue
+            chosen[j] = perm
+            if j + 1 < depth:
+                if descend(j + 1, narrowed):
+                    return True
+                continue
+            visit()
+            fact = _assemble(p, tuple(tuple(lst[i] for i in order)
+                                      for lst, order in zip(lists, chosen)))
+            key = _closed_key(fact.roots)
+            if key is None or key in seen:
+                continue
+            seen.add(key)
+            out.append(fact)
+            if len(out) >= cap:
+                return True
+        return False
+
+    descend(0, [full] * m)
     return out
 
 

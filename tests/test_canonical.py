@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfield import (
     CANONICAL_BASES,
@@ -13,6 +14,7 @@ from quadfield import (
     DomainError,
     ExpForm,
     Quad,
+    ResultOverflow,
     canonical_mul,
     exp,
     exp_form,
@@ -226,6 +228,59 @@ class TestExpForm:
     def test_rejects_outside_domain(self, kind, comps, condition):
         with pytest.raises(DomainError, match=condition):
             exp_form(Quad(kind, *comps))
+
+    @pytest.mark.parametrize("kind,comps,field", [
+        # psi = atan2(rho_plus, rho_minus) underflows to 0
+        (AlgebraKind.CIRCULAR, (5e299, 5e-301, 5e-301, -5e299), "psi"),
+        # theta_plus = atan2(sqrt(2) mu_plus, v_plus) underflows to 0
+        (AlgebraKind.POLAR, (1e150, 5e-301, 1e150, -5e-301), "theta_plus"),
+        # |w1| itself is beyond the double range (abs() raises OverflowError)
+        (AlgebraKind.POLAR, (0.0, 0.0, 1.7976931348623157e308, 1.9e300), "rho"),
+        # s and s' overflow to inf, so mu = exp(inf)
+        (AlgebraKind.HYPERBOLIC, (1.5e308, 0.0, 0.5e308, 0.0), "mu"),
+    ])
+    def test_field_out_of_range_is_domain_error(self, kind, comps, field):
+        with pytest.raises(DomainError, match=rf"finite {field} "):
+            exp_form(Quad(kind, *comps))
+
+    @pytest.mark.parametrize("kind,comps,rho", [
+        # rho_plus * rho_minus (circular, planar) or vp * vm * mu_plus**2
+        # (polar) under- or overflows although rho itself is a double
+        (AlgebraKind.CIRCULAR, (1e-170, 0.0, 0.0, 0.0), 1e-170),
+        (AlgebraKind.CIRCULAR, (1e160, 0.0, 0.0, 0.0), 1e160),
+        (AlgebraKind.PLANAR, (1e-170, 0.0, 0.0, 0.0), 1e-170),
+        (AlgebraKind.PLANAR, (1e160, 0.0, 0.0, 0.0), 1e160),
+        (AlgebraKind.POLAR, (1e80, 0.0, 0.0, 0.0), 1e80),
+        (AlgebraKind.POLAR, (1e-90, 0.0, 0.0, 0.0), 1e-90),
+    ])
+    def test_rho_survives_an_intermediate_over_or_underflow(self, kind, comps,
+                                                            rho):
+        f = exp_form(Quad(kind, *comps))
+        assert f.rho == pytest.approx(rho, rel=1e-14)
+        assert from_exp_form(f).x == pytest.approx(rho, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR, AlgebraKind.PLANAR])
+    @pytest.mark.parametrize("x", [1e-170, 1e160])
+    def test_trig_form_at_the_ends_of_the_double_range(self, kind, x):
+        # trig_form reads phi, chi and psi from exp_form, which must not
+        # reject these values on account of rho
+        f = trig_form(Quad(kind, x, 0.0, 0.0, 0.0))
+        assert (f.phi, f.chi) == (0.0, 0.0)
+        assert f.psi == pytest.approx(math.pi / 4.0, rel=1e-15)
+
+    @settings(max_examples=400)
+    @given(kind=st.sampled_from(KINDS),
+           comps=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)
+                             for _ in range(4)]))
+    def test_every_form_is_accepted_by_from_exp_form(self, kind, comps):
+        try:
+            f = exp_form(Quad(kind, *comps))
+        except DomainError:
+            return
+        try:
+            from_exp_form(f)
+        except ResultOverflow:   # the fields passed; evaluating overflowed
+            pass
 
     @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR, AlgebraKind.PLANAR])
     def test_angle_additivity_phi_chi(self, kind):

@@ -11,6 +11,7 @@ import pytest
 import quadfield
 from quadfield import AlgebraKind, Quad, cosexp, exp_form, expform_to_dict, f4
 from quadfield.cli import COSEXP_MAX_ROWS, LOOP_MAX_SAMPLES, main
+from quadfield.polynomial import _MAX_VISITS
 
 # The directory the tests import quadfield from, so that a child process
 # runs the same package, installed or not.
@@ -222,6 +223,17 @@ class TestExpform:
         assert error["error"] == "DomainError"
         assert f"finite {field} " in error["message"]
 
+    def test_underflowing_angle_is_json_domain_error(self):
+        # psi = atan2(rho_plus, rho_minus) underflows to 0, which the
+        # --json reader would reject
+        cp = run_pkg("expform", "--kind", "circular",
+                     "--u", "5e299,5e-301,5e-301,-5e299")
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stderr == ""
+        error = json.loads(cp.stdout)
+        assert error["error"] == "DomainError"
+        assert "finite psi " in error["message"]
+
     def test_overflow_is_json_error_exit_2(self):
         payload = {"kind": "hyperbolic", "mu": 1.0, "y1": 800, "z1": 0,
                    "t1": 0}
@@ -287,6 +299,18 @@ class TestFactor:
         code, _, err = run_main(capsys, "factor", "--kind", "circular",
                                 "--coeffs", "[1,[1,2]]")
         assert code == 1 and "4-element" in err
+
+    def test_enumeration_budget_is_json_error_exit_2(self):
+        # polar u^8 + 1: no conjugate-closed pairing exists, and the walk
+        # over the 8!**2 orders of the other two components stops at the
+        # default budget
+        cp = run_pkg("factor", "--kind", "polar",
+                     "--coeffs", "[1,0,0,0,0,0,0,0,1]", "--enumerate", "3")
+        assert cp.returncode == 2, cp.stderr
+        assert "Traceback" not in cp.stderr
+        error = json.loads(cp.stdout)
+        assert error["error"] == "EnumerationBudgetExceeded"
+        assert f"budget of {_MAX_VISITS} visits" in error["message"]
 
     def test_enumerate_must_be_positive(self, capsys):
         code, _, err = run_main(capsys, "factor", "--kind", "circular",

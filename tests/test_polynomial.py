@@ -1,13 +1,18 @@
 """Polynomial factorization through the canonical components."""
 
+import cmath
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import enumerate_oracle
 from quadfield import (
     AlgebraKind,
     ComplexQuad,
+    EnumerationBudgetExceeded,
     Factorization,
     NoConvergence,
     Poly,
@@ -19,12 +24,14 @@ from quadfield import (
     factor,
     one,
     pair_conjugates,
+    plane_join,
     quadratic_factor,
     reconstruct,
     zero,
 )
+from quadfield import polynomial
 
-from conftest import KINDS, max_abs_diff, random_quad
+from conftest import KINDS, max_abs_diff, quads, random_quad
 
 SQRT2 = math.sqrt(2.0)
 
@@ -277,3 +284,154 @@ class TestConjugatePairs:
         f = factor(upoly(kind, 0.0, -1.0))   # u^2-1, gamma-free real pair
         reals, pairs, leftovers = pair_conjugates(f)
         assert len(reals) == 2 and not pairs and not leftovers
+
+
+# -- the pruned enumeration against the brute-force oracle ---------------------
+
+HYPERBOLIC = AlgebraKind.HYPERBOLIC
+
+
+def line_root(values):
+    """The hyperbolic root whose four line values are `values` (complex
+    allowed; the join is real-linear, so real and imaginary parts join
+    apart)."""
+    re = plane_join(HYPERBOLIC, tuple(complex(v).real for v in values))
+    im = plane_join(HYPERBOLIC, tuple(complex(v).imag for v in values))
+    if not any(im.components):
+        return re
+    return ComplexQuad(HYPERBOLIC, *(complex(a, b) for a, b in
+                                     zip(re.components, im.components)))
+
+
+def conjugate_poly(rng, n_real):
+    """Hyperbolic: a real quadratic with a conjugate pair of roots on every
+    line, times n_real real linear factors whose line values fall one per
+    equal bin of [-1.5, 1.5] (the factor benchmark's conjugate inputs)."""
+    pair = []
+    for _ in range(4):
+        s = rng.uniform(-1.5, 1.5)
+        q = s * s / 4.0 + rng.uniform(0.3, 1.2)
+        pair.append((s + cmath.sqrt(s * s - 4.0 * q)) / 2.0)
+    root = line_root(pair)
+    width = 3.0 / n_real
+    columns = []
+    for _ in range(4):
+        col = [-1.5 + (i + rng.uniform(0.25, 0.75)) * width
+               for i in range(n_real)]
+        rng.shuffle(col)
+        columns.append(col)
+    roots = [root, root.conjugate()] + [line_root(v) for v in zip(*columns)]
+    return reconstruct(Factorization(tuple(roots), 0.0), HYPERBOLIC)
+
+
+def near_coincident_poly(rng, eps):
+    """Hyperbolic degree 3.  On each line roots 0 and 1 are a conjugate
+    pair or a real double root split by at most eps, and root 2 is real.
+    Line values come from a few grid points, so distinct roots can share a
+    9-decimal key."""
+    first, second = [], []
+    for _ in range(4):
+        a = rng.choice((-1.0, 0.5))
+        if rng.random() < 0.5:
+            first.append(complex(a, 0.6))
+            second.append(complex(a, -0.6))
+        else:
+            first.append(a)
+            second.append(a + rng.uniform(-eps, eps))
+    third = [rng.choice((-1.0, 0.5, 1.0)) for _ in range(4)]
+    roots = (line_root(first), line_root(second), line_root(third))
+    return reconstruct(Factorization(roots, 0.0), HYPERBOLIC)
+
+
+def enumerations(p, cap):
+    """(pruned, brute force) results, or the NoConvergence both raise."""
+    try:
+        want = enumerate_oracle.enumerate_factorizations(p, cap)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            enumerate_factorizations(p, cap)
+        return [], []
+    return enumerate_factorizations(p, cap), want
+
+
+def assert_same_results(got, want):
+    """Equal lists: roots by ==, residuals by float.hex, order included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.roots == w.roots
+        assert g.residual.hex() == w.residual.hex()
+
+
+class TestPrunedEnumeration:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(KINDS),
+           degree=st.integers(1, 4), cap=st.integers(1, 100))
+    def test_matches_brute_force(self, data, kind, degree, cap):
+        tail = data.draw(st.lists(quads(kind), min_size=degree,
+                                  max_size=degree))
+        p = Poly(kind, (one(kind), *tail))
+        assert_same_results(*enumerations(p, cap))
+
+    def test_matches_brute_force_on_conjugate_inputs(self):
+        rng = random.Random(2000)
+        for n in range(4):
+            p = conjugate_poly(rng, 2)
+            for cap in ((1, 2, 100) if n == 0 else (2,)):
+                got, want = enumerations(p, cap)
+                assert want
+                assert_same_results(got, want)
+
+    def test_matches_brute_force_on_near_coincident_roots(self):
+        # The prefix test's tolerance matters here: an exact prefix test
+        # cuts leaves whose 9-decimal keys the leaf check accepts.
+        rng = random.Random(2001)
+        compared = 0
+        for _ in range(60):
+            p = near_coincident_poly(rng, rng.choice((1e-12, 1e-10, 1e-9)))
+            got, want = enumerations(p, 100)
+            assert_same_results(got, want)
+            compared += bool(want)
+        assert compared >= 10
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_brute_force_on_worked_examples(self, kind):
+        for tail in ((0.0, -1.0), (0.0, 1.0), (0.0, -1.0, 0.0),
+                     (0.0, 0.0, 0.0, -1.0), (0.0, 0.0, 0.0, 1.0)):
+            p = upoly(kind, *tail)
+            for cap in (1, 3, 100):
+                assert_same_results(*enumerations(p, cap))
+
+    def test_polar_quartic_stays_empty(self):
+        p = upoly(AlgebraKind.POLAR, 0.0, 0.0, 0.0, -1.0)
+        got, want = enumerations(p, 100)
+        assert got == want == []
+
+
+class TestEnumerationBudget:
+    def test_degree_six_within_default_budget(self, monkeypatch):
+        # a conjugate pair on every line times four real linear factors:
+        # the exhaustive walk would visit 720**3 pairings
+        p = conjugate_poly(random.Random(6), 4)
+        assert p.degree == 6
+        facts = enumerate_factorizations(p, cap=2)
+        assert len(facts) == 2
+        for f in facts:
+            assert coeffs_close(reconstruct(f, HYPERBOLIC), p, 1e-8)
+            assert not pair_conjugates(f)[2]
+        monkeypatch.setattr(polynomial, "_MAX_VISITS", 1)
+        with pytest.raises(EnumerationBudgetExceeded,
+                           match=r"budget of 1 visits with 0 of cap=2"):
+            enumerate_factorizations(p, cap=2)
+
+    def test_budget_error_is_typed(self):
+        assert issubclass(EnumerationBudgetExceeded, QuadfieldError)
+
+    def test_budget_counts_tests_and_leaves(self, monkeypatch):
+        # u^2 - 1 hyperbolic: 1 pinned order, 2 orders on each of the three
+        # other lines, all kept, and 8 leaves: 1 + 2 + 4 + 8 + 8 visits
+        p = upoly(AlgebraKind.HYPERBOLIC, 0.0, -1.0)
+        monkeypatch.setattr(polynomial, "_MAX_VISITS", 23)
+        assert len(enumerate_factorizations(p)) == 8
+        monkeypatch.setattr(polynomial, "_MAX_VISITS", 22)
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_factorizations(p)

@@ -5,196 +5,60 @@ hyperbolic, planar and polar — with exact decoupling into complex planes
 and real lines, closed-form inverses, exponential/trigonometric forms,
 elementary functions, power series, loop integrals with residues,
 polynomial factorization, and 4x4 matrix representations.
+
+``import quadfield`` loads only ``algebra_core``.  The public names of the
+other modules are resolved on first use (PEP 562 ``__getattr__``) and
+cached here, so they are the same objects as in their home modules.
 """
 
-from .algebra_core import (
-    BACKEND,
-    DEFAULT_TOL,
-    AlgebraKind,
-    Amplitude,
-    Quad,
-    QuadfieldError,
-    SingularityReport,
-    SingularValue,
-    add,
-    amplitude,
-    inverse,
-    modulus,
-    mul,
-    neg,
-    one,
-    pow_int,
-    quad_from_dict,
-    quad_from_json,
-    quad_to_dict,
-    quad_to_json,
-    scale,
-    singularity,
-    sub,
-    units,
-    zero,
-)
-from .calculus import (
-    ConvergenceBounds,
-    DegenerateSeries,
-    Loop,
-    NearBoundaryWarning,
-    OnBoundary,
-    SeriesSpec,
-    SingularOnPath,
-    WindingQuery,
-    check_analytic,
-    check_second_order,
-    convergence_bounds,
-    eval_series,
-    eval_series_canonical,
-    integrate_loop,
-    residue_prediction,
-    winding,
-)
-from .canonical import (
-    CANONICAL_BASES,
-    DomainError,
-    ExpForm,
-    TrigForm,
-    canonical_mul,
-    exp_form,
-    expform_from_dict,
-    expform_to_dict,
-    from_canonical,
-    from_exp_form,
-    from_trig_form,
-    plane_join,
-    plane_split,
-    to_canonical,
-    trig_form,
-)
-from .elementary import (
-    CosexpFamily,
-    CosexpKind,
-    ResultOverflow,
-    cos,
-    cosexp,
-    cosexp_series,
-    cosh,
-    exp,
-    exp_factored,
-    f4,
-    g4,
-    log,
-    pow_real,
-    sin,
-    sinh,
-)
-from .matrix_rep import (
-    CHANGE_OF_BASIS,
-    Matrix4,
-    block_diagonalize,
-    determinant,
-    represent,
-)
-from .polynomial import (
-    ComplexQuad,
-    EnumerationBudgetExceeded,
-    Factorization,
-    NoConvergence,
-    Poly,
-    enumerate_factorizations,
-    eval_poly,
-    factor,
-    pair_conjugates,
-    quadratic_factor,
-    reconstruct,
-)
+import importlib
+
+from . import algebra_core
+from .algebra_core import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraKind",
-    "Amplitude",
-    "BACKEND",
-    "CANONICAL_BASES",
-    "CHANGE_OF_BASIS",
-    "ComplexQuad",
-    "ConvergenceBounds",
-    "CosexpFamily",
-    "CosexpKind",
-    "DEFAULT_TOL",
-    "DegenerateSeries",
-    "DomainError",
-    "EnumerationBudgetExceeded",
-    "ExpForm",
-    "Factorization",
-    "Loop",
-    "Matrix4",
-    "NearBoundaryWarning",
-    "NoConvergence",
-    "OnBoundary",
-    "Poly",
-    "Quad",
-    "QuadfieldError",
-    "ResultOverflow",
-    "SeriesSpec",
-    "SingularOnPath",
-    "SingularValue",
-    "SingularityReport",
-    "TrigForm",
-    "WindingQuery",
-    "add",
-    "amplitude",
-    "block_diagonalize",
-    "canonical_mul",
-    "check_analytic",
-    "check_second_order",
-    "convergence_bounds",
-    "cos",
-    "cosexp",
-    "cosexp_series",
-    "cosh",
-    "determinant",
-    "enumerate_factorizations",
-    "eval_poly",
-    "eval_series",
-    "eval_series_canonical",
-    "exp",
-    "exp_factored",
-    "exp_form",
-    "expform_from_dict",
-    "expform_to_dict",
-    "f4",
-    "factor",
-    "from_canonical",
-    "from_exp_form",
-    "from_trig_form",
-    "g4",
-    "integrate_loop",
-    "inverse",
-    "log",
-    "modulus",
-    "mul",
-    "neg",
-    "one",
-    "pair_conjugates",
-    "plane_join",
-    "plane_split",
-    "pow_int",
-    "pow_real",
-    "quad_from_dict",
-    "quad_from_json",
-    "quad_to_dict",
-    "quad_to_json",
-    "quadratic_factor",
-    "reconstruct",
-    "represent",
-    "residue_prediction",
-    "scale",
-    "sin",
-    "singularity",
-    "sinh",
-    "sub",
-    "to_canonical",
-    "trig_form",
-    "units",
-    "winding",
-    "zero",
-]
+# Home module of every public name that is not in algebra_core.
+_LAZY = {
+    "calculus": (
+        "ConvergenceBounds", "DegenerateSeries", "Loop", "NearBoundaryWarning",
+        "OnBoundary", "SeriesSpec", "SingularOnPath", "WindingQuery",
+        "check_analytic", "check_second_order", "convergence_bounds",
+        "eval_series", "eval_series_canonical", "integrate_loop",
+        "residue_prediction", "winding",
+    ),
+    "canonical": (
+        "CANONICAL_BASES", "ExpForm", "TrigForm", "canonical_mul", "exp_form",
+        "expform_from_dict", "expform_to_dict", "from_canonical",
+        "from_exp_form", "from_trig_form", "to_canonical", "trig_form",
+    ),
+    "elementary": (
+        "CosexpFamily", "CosexpKind", "cos", "cosexp", "cosexp_series", "cosh",
+        "exp", "exp_factored", "f4", "g4", "log", "pow_real", "sin", "sinh",
+    ),
+    "matrix_rep": (
+        "CHANGE_OF_BASIS", "Matrix4", "block_diagonalize", "determinant",
+        "represent",
+    ),
+    "polynomial": (
+        "ComplexQuad", "EnumerationBudgetExceeded", "Factorization",
+        "NoConvergence", "Poly", "enumerate_factorizations", "eval_poly",
+        "factor", "pair_conjugates", "quadratic_factor", "reconstruct",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted([*algebra_core.__all__, *_HOME])
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

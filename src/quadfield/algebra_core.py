@@ -18,7 +18,9 @@ the distance to those sets; ``inverse`` refuses to divide near them.
 (each map a unital ring homomorphism) and ``plane_join`` maps back; the
 nodal residuals are the moduli of the split parts.  ``Quad`` is a frozen
 ``__slots__`` class whose ``__init__`` runs ``__post_init__`` (kind check,
-float coercion, one NaN/inf test) exactly once.
+float coercion, one NaN/inf test) exactly once; ``Amplitude`` and
+``SingularityReport`` are frozen ``__slots__`` records too, so importing
+this module does not import ``dataclasses``.
 
 The kernels — products, amplitude quartics, and inverses as per-plane
 reciprocals joined back — live in ``quadfield._kernels_py``; ``BACKEND``
@@ -30,7 +32,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 
 from . import _kernels_py as _impl
 
@@ -221,8 +222,43 @@ def _require_same_kind(u: Quad, v: Quad) -> None:
         raise ValueError(f"kind mismatch: {u.kind} vs {v.kind}")
 
 
-@dataclass(frozen=True, slots=True)
-class Amplitude:
+class _Record:
+    """Frozen ``__slots__`` record with a dataclass's repr, eq and hash.
+
+    Subclasses list their fields in ``__slots__`` and set them in
+    ``__init__`` with ``object.__setattr__``; pickle and copy rebuild the
+    record from its fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+class Amplitude(_Record):
     """Signed amplitude quartic and, where defined, its fourth root.
 
     ``nu`` is rho^4 (circular/planar, always >= 0) or nu (hyperbolic/polar,
@@ -231,12 +267,14 @@ class Amplitude:
     error).
     """
 
-    nu: float
-    rho: float | None
+    __slots__ = __match_args__ = ("nu", "rho")
+
+    def __init__(self, nu: float, rho: float | None) -> None:
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True, slots=True)
-class SingularityReport:
+class SingularityReport(_Record):
     """Distance diagnosis against every nodal set of the kind.
 
     ``nodal_sets`` lists the identifiers of the conditions whose
@@ -245,9 +283,13 @@ class SingularityReport:
     residual; ``singular`` is ``margin <= tol``.
     """
 
-    singular: bool
-    nodal_sets: tuple[str, ...]
-    margin: float
+    __slots__ = __match_args__ = ("singular", "nodal_sets", "margin")
+
+    def __init__(self, singular: bool, nodal_sets: tuple[str, ...],
+                 margin: float) -> None:
+        object.__setattr__(self, "singular", singular)
+        object.__setattr__(self, "nodal_sets", nodal_sets)
+        object.__setattr__(self, "margin", margin)
 
 
 _MUL = {
@@ -353,8 +395,15 @@ def mul(u: Quad, v: Quad) -> Quad:
 
 
 def modulus(u: Quad) -> float:
-    """Euclidean length d = sqrt(x^2 + y^2 + z^2 + t^2)."""
-    return math.sqrt(u.x * u.x + u.y * u.y + u.z * u.z + u.t * u.t)
+    """Euclidean length d = sqrt(x^2 + y^2 + z^2 + t^2).
+
+    When the sum of squares over- or underflows (inf, or below the
+    smallest normal double) d comes from ``math.hypot``, which scales.
+    """
+    s = u.x * u.x + u.y * u.y + u.z * u.z + u.t * u.t
+    if 2.2250738585072014e-308 <= s <= 1.7976931348623157e308:  # normal
+        return math.sqrt(s)
+    return math.hypot(u.x, u.y, u.z, u.t)
 
 
 def amplitude(u: Quad) -> Amplitude:

@@ -80,6 +80,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+_NORMAL_MIN = 2.2250738585072014e-308   # smallest normal double
 
 
 # -- canonical coordinate records ----------------------------------------
@@ -307,7 +308,8 @@ def exp_form(u: Quad) -> ExpForm:
     """Extract amplitude and angles; rejects values outside the domain.
 
     rho is recomputed from square roots of its factors when their product
-    under- or overflows, so it is not lost to an intermediate result.
+    overflows or falls below the smallest normal double, so it is not lost
+    to an intermediate result.
 
     Raises:
         DomainError: naming the violated condition (never clamps — a
@@ -334,8 +336,10 @@ def exp_form(u: Quad) -> ExpForm:
             mu_plus = abs(w1)
         except OverflowError:   # |w1| beyond the double range: rho fails below
             mu_plus = math.inf
-        rho = (vp * vm * mu_plus * mu_plus) ** 0.25
-        if not 0.0 < rho < math.inf:   # the product under- or overflowed
+        nu = vp * vm * mu_plus * mu_plus
+        if _NORMAL_MIN <= nu < math.inf:
+            rho = nu ** 0.25
+        else:   # the product under- or overflowed
             rho = math.sqrt(math.sqrt(vp) * math.sqrt(vm)) * math.sqrt(mu_plus)
         return _checked(ExpForm(
             kind=kind,
@@ -347,8 +351,10 @@ def exp_form(u: Quad) -> ExpForm:
     w1, w2 = parts
     rho_plus = math.hypot(w1.real, w1.imag)
     rho_minus = math.hypot(w2.real, w2.imag)
-    rho = math.sqrt(rho_plus * rho_minus)
-    if not 0.0 < rho < math.inf:   # the product under- or overflowed
+    rho_sq = rho_plus * rho_minus
+    if _NORMAL_MIN <= rho_sq < math.inf:
+        rho = math.sqrt(rho_sq)
+    else:   # the product under- or overflowed
         rho = math.sqrt(rho_plus) * math.sqrt(rho_minus)
     return _checked(ExpForm(
         kind=kind,

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 
-from . import elementary
 from .algebra_core import (
     DEFAULT_TOL,
     AlgebraKind,
@@ -32,18 +31,6 @@ from .algebra_core import (
     quad_to_dict,
     singularity,
     zero,
-)
-from .calculus import Loop, integrate_loop, residue_prediction
-from .canonical import exp_form, expform_from_dict, expform_to_dict, from_exp_form
-from .matrix_rep import block_diagonalize, determinant, represent
-from .polynomial import (
-    ComplexQuad,
-    Factorization,
-    Poly,
-    enumerate_factorizations,
-    factor,
-    pair_conjugates,
-    quadratic_factor,
 )
 
 __all__ = ["main"]
@@ -148,6 +135,8 @@ def _cmd_eval(args) -> str:
 
 
 def _cmd_expform(args) -> str:
+    from .canonical import exp_form, expform_from_dict, expform_to_dict, from_exp_form
+
     kind = AlgebraKind(args.kind)
     if (args.u is None) == (args.json is None):
         raise _UsageError("expform needs exactly one of --u or --json")
@@ -165,13 +154,15 @@ def _cmd_expform(args) -> str:
 
 
 def _root_json(root):
-    if isinstance(root, ComplexQuad):
-        return {"complex": True,
-                "components": [[c.real, c.imag] for c in root.components]}
-    return {"components": list(root.components)}
+    if isinstance(root, Quad):
+        return {"components": list(root.components)}
+    return {"complex": True,   # a polynomial.ComplexQuad
+            "components": [[c.real, c.imag] for c in root.components]}
 
 
-def _render_factors(f: Factorization, kind: AlgebraKind, digits: int) -> list[str]:
+def _render_factors(f, kind: AlgebraKind, digits: int) -> list[str]:
+    from .polynomial import pair_conjugates, quadratic_factor
+
     reals, pairs, leftovers = pair_conjugates(f)
     rendered = [f"(u - ({_quad_line(r, digits)}))" for r in reals]
     for pair in pairs:
@@ -188,6 +179,8 @@ def _render_factors(f: Factorization, kind: AlgebraKind, digits: int) -> list[st
 
 
 def _cmd_factor(args) -> str:
+    from .polynomial import Poly, enumerate_factorizations, factor
+
     kind = AlgebraKind(args.kind)
     try:
         entries = json.loads(args.coeffs)
@@ -215,7 +208,9 @@ def _cmd_factor(args) -> str:
     return json.dumps(out)
 
 
-def _parse_loop(kind: AlgebraKind, text: str) -> Loop:
+def _parse_loop(kind: AlgebraKind, text: str):
+    from .calculus import Loop
+
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -245,6 +240,9 @@ def _parse_loop(kind: AlgebraKind, text: str) -> Loop:
 
 
 def _cmd_integrate(args) -> str:
+    from . import elementary
+    from .calculus import integrate_loop, residue_prediction
+
     kind = AlgebraKind(args.kind)
     loop = _parse_loop(kind, args.loop)
     u0 = _parse_quad(kind, args.pole)
@@ -282,6 +280,8 @@ def _cmd_integrate(args) -> str:
 
 
 def _cmd_cosexp(args) -> str:
+    from . import elementary
+
     family = {"f": "f", "planar_f": "f", "g": "g", "polar_g": "g"}.get(args.family)
     if family is None:
         raise _UsageError(f"--family must be f or g, got {args.family!r}")
@@ -315,6 +315,8 @@ def _cmd_cosexp(args) -> str:
 
 
 def _cmd_matrix(args) -> str:
+    from .matrix_rep import block_diagonalize, determinant, represent
+
     kind = AlgebraKind(args.kind)
     u = _parse_quad(kind, args.u)
     rep = represent(u)

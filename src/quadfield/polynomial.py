@@ -36,8 +36,8 @@ from .algebra_core import (
     inverse,
     modulus,
     mul,
+    plane_split,
 )
-from .canonical import plane_split
 
 __all__ = [
     "Poly",
@@ -205,7 +205,7 @@ def _durand_kerner(coeffs: list[complex], name: str) -> list[complex]:
 def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
     """Clean roots of a real-coefficient polynomial: snap near-real roots
     to the real axis and force the rest into exact conjugate pairs."""
-    scale_ref = max(1.0, max(abs(r) for r in roots))
+    scale_ref = max(1.0, max((abs(r) for r in roots), default=0.0))
     snapped = [complex(r.real, 0.0) if abs(r.imag) <= _REAL_SNAP * scale_ref else r
                for r in roots]
     out: list[complex | None] = [None] * len(snapped)

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from quadfield import (
     AlgebraKind,
+    Amplitude,
     Quad,
     ResultOverflow,
+    SingularityReport,
     SingularValue,
     amplitude,
     inverse,
@@ -162,6 +164,60 @@ class TestQuadContract:
         assert len(calls) == 3
 
 
+class TestRecordContract:
+    """Amplitude and SingularityReport keep a frozen dataclass's contract."""
+
+    RECORDS = [
+        (Amplitude(nu=16.0, rho=2.0), "Amplitude(nu=16.0, rho=2.0)"),
+        (Amplitude(nu=-1.0, rho=None), "Amplitude(nu=-1.0, rho=None)"),
+        (SingularityReport(singular=True, nodal_sets=("s", "s_prime"),
+                           margin=0.0),
+         "SingularityReport(singular=True, nodal_sets=('s', 's_prime'), "
+         "margin=0.0)"),
+    ]
+
+    @pytest.mark.parametrize("record,text", RECORDS)
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record,text", RECORDS)
+    def test_frozen(self, record, text):
+        for name in record.__slots__ + ("other",):
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(record, name)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record,text", RECORDS)
+    def test_copy_and_pickle_round_trip(self, record, text):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert twin == record and twin is not record
+            assert type(twin) is type(record)
+            assert hash(twin) == hash(record)
+
+    def test_eq_and_hash_are_by_fields(self):
+        assert Amplitude(1.0, 2.0) == Amplitude(nu=1.0, rho=2.0)
+        assert Amplitude(1, 2.0) == Amplitude(1.0, 2.0)
+        assert hash(Amplitude(1.0, 2.0)) == hash((1.0, 2.0))
+        assert len({Amplitude(1.0, None), Amplitude(1.0, None)}) == 1
+        assert Amplitude(1.0, 2.0) != Amplitude(1.0, None)
+        assert Amplitude(1.0, 2.0) != (1.0, 2.0)
+        report = singularity(one(AlgebraKind.PLANAR))
+        assert report == SingularityReport(report.singular, report.nodal_sets,
+                                           report.margin)
+        assert report != SingularityReport(True, report.nodal_sets,
+                                           report.margin)
+        assert hash(report) == hash((report.singular, report.nodal_sets,
+                                     report.margin))
+
+    def test_match_args(self):
+        match amplitude(one(AlgebraKind.POLAR)):
+            case Amplitude(nu, rho):
+                assert (nu, rho) == (1.0, 1.0)
+
+
 def test_nonfinite_components_rejected():
     with pytest.raises(ValueError):
         Quad(AlgebraKind.CIRCULAR, math.nan, 0, 0, 0)
@@ -279,6 +335,23 @@ class TestModulus:
         u = Quad(AlgebraKind.CIRCULAR, 3.0, 0.0, 4.0, 0.0)
         assert modulus(u) == pytest.approx(5.0)
         assert abs(u) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("x", [1e160, 1e-170, 1e300, 1e-320])
+    def test_sum_of_squares_over_or_underflow(self, kind, x):
+        # x * x is inf or below the smallest normal double
+        assert modulus(Quad(kind, x, 0.0, 0.0, 0.0)) == x
+        assert modulus(Quad(kind, x, x, x, x)) == pytest.approx(
+            2.0 * x, rel=1e-15, abs=0.0)
+
+    @given(u=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)
+                         for _ in range(4)]))
+    def test_normal_sum_of_squares_is_bitwise_unchanged(self, u):
+        s = sum(c * c for c in u)
+        if 2.2250738585072014e-308 <= s < math.inf:
+            assert modulus(Quad(AlgebraKind.CIRCULAR, *u)) == math.sqrt(s)
+        else:
+            assert modulus(Quad(AlgebraKind.CIRCULAR, *u)) == math.hypot(*u)
 
 
 class TestInverse:

@@ -256,8 +256,24 @@ class TestExpForm:
     def test_rho_survives_an_intermediate_over_or_underflow(self, kind, comps,
                                                             rho):
         f = exp_form(Quad(kind, *comps))
-        assert f.rho == pytest.approx(rho, rel=1e-14)
-        assert from_exp_form(f).x == pytest.approx(rho, rel=1e-12)
+        assert f.rho == pytest.approx(rho, rel=1e-14, abs=0.0)
+        assert from_exp_form(f).x == pytest.approx(rho, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind,x", [
+        # the product under rho is subnormal, not 0
+        (AlgebraKind.POLAR, 1e-80),
+        (AlgebraKind.CIRCULAR, 1e-160),
+        (AlgebraKind.PLANAR, 1e-160),
+    ])
+    def test_rho_survives_a_subnormal_product(self, kind, x):
+        assert exp_form(Quad(kind, x, 0.0, 0.0, 0.0)).rho == pytest.approx(
+            x, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("x", [1e-170, 1e160])
+    def test_trig_form_modulus_at_the_ends_of_the_double_range(self, kind, x):
+        # modulus squares the components; d must not under- or overflow
+        assert trig_form(Quad(kind, x, 0.0, 0.0, 0.0)).d == x
 
     @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR, AlgebraKind.PLANAR])
     @pytest.mark.parametrize("x", [1e-170, 1e160])

@@ -56,6 +56,61 @@ class TestEntryPoints:
         assert "usage error" in cp.stderr
 
 
+# Runs the CLI as `python -m quadfield` does, then prints the loaded modules.
+_RUN_AND_LIST_MODULES = """\
+import json, runpy, sys
+sys.argv = ["quadfield", *sys.argv[1:]]
+try:
+    runpy.run_module("quadfield", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+_CORE = {"quadfield", "quadfield._kernels_py", "quadfield.algebra_core"}
+
+
+class TestImportFootprint:
+    """Each entry point loads only the modules it uses (no timing)."""
+
+    def test_import_quadfield_loads_only_the_core(self):
+        cp = run_python("-c", "import json, sys, quadfield; "
+                              "print(json.dumps(sorted(sys.modules)))")
+        assert cp.returncode == 0, cp.stderr
+        loaded = set(json.loads(cp.stdout))
+        assert {m for m in loaded if m.startswith("quadfield")} == _CORE
+        assert "dataclasses" not in loaded
+
+    # argv of one valid command, and the modules it needs beyond the core
+    COMMANDS = [
+        (["eval", "--kind=circular", "--op=mul", "--a=1,2,3,4", "--b=0,1,0,0"],
+         set()),
+        (["expform", "--kind=circular", "--u=1,0.1,0.2,0.1"],
+         {"canonical", "elementary"}),
+        (["factor", "--kind=hyperbolic", "--coeffs=[1,0,-1]",
+          "--enumerate=2"], {"polynomial"}),
+        (["integrate", "--kind=circular",
+          '--loop={"center":[0,0,0,0],"radius":0.5,"samples":64}',
+          "--integrand=exp", "--pole=0,0,0,0"],
+         {"calculus", "canonical", "elementary"}),
+        (["cosexp", "--family=f", "--from=0", "--to=1", "--step=0.5"],
+         {"elementary"}),
+        (["matrix", "--kind=polar", "--u=1,2,3,4"], {"matrix_rep"}),
+    ]
+
+    @pytest.mark.parametrize("argv,modules", COMMANDS,
+                             ids=[argv[0] for argv, _ in COMMANDS])
+    def test_subcommand_loads_only_its_modules(self, argv, modules):
+        cp = run_python("-c", _RUN_AND_LIST_MODULES, *argv)
+        assert cp.returncode == 0, cp.stderr
+        code, loaded = json.loads(cp.stdout.splitlines()[-1])
+        assert code == 0
+        want = _CORE | {"quadfield.cli"} | {f"quadfield.{m}" for m in modules}
+        assert {m for m in loaded if m.startswith("quadfield")} == want
+        if argv[0] == "eval":
+            assert "dataclasses" not in loaded
+
+
 class TestEval:
     def test_golden_alpha_times_beta(self):
         cp = run_pkg("eval", "--kind", "circular", "--op", "mul",

@@ -175,6 +175,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_factorizations(p, cap=0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_degree_zero_has_the_empty_factorization(self, kind):
+        assert enumerate_factorizations(Poly(kind, (one(kind),))) == [
+            Factorization(roots=(), residual=0.0)]
+
     def test_random_cubic_enumeration_reconstructs(self):
         kind = AlgebraKind.HYPERBOLIC
         rng = random.Random(7)

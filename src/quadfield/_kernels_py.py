@@ -1,8 +1,9 @@
 """Arithmetic kernels for the four algebras.
 
 ``algebra_core`` dispatches to these functions by kind.  They take plain
-numbers and never check types, so the polynomial module runs the same
-products on complexified components.
+numbers and never check types, so ``polynomial.reconstruct`` and
+``polynomial.quadratic_factor`` run the same products on complexified
+components.
 
 Products and amplitude quartics are plain component formulas — one line
 per output component — so each can be audited term by term; inverses

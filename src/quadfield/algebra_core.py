@@ -442,38 +442,53 @@ def plane_split(u: Quad) -> tuple:
     return (x + y + z + t, x - y + z - t, complex(x - z, y - t))
 
 
-def plane_join(kind: AlgebraKind, parts: tuple) -> Quad:
-    """Inverse of :func:`plane_split`."""
+def _join(kind: AlgebraKind, parts: tuple) -> tuple:
+    """Inverse of :func:`plane_split` as the components (x, y, z, t).
+
+    Line entries may be complex (a line polynomial's complex roots); their
+    imaginary parts then pass into the components, which are complex too.
+    A plane entry gives real components.
+    """
     if kind is _CIRCULAR:
         w1, w2 = parts
-        return Quad(kind, (w1.real + w2.real) / 2.0, (w1.imag + w2.imag) / 2.0,
-                    (w1.imag - w2.imag) / 2.0, (w1.real - w2.real) / 2.0)
+        return ((w1.real + w2.real) / 2.0, (w1.imag + w2.imag) / 2.0,
+                (w1.imag - w2.imag) / 2.0, (w1.real - w2.real) / 2.0)
     if kind is _HYPERBOLIC:
         s, sp, spp, sppp = parts
-        return Quad(kind, (s + sp + spp + sppp) / 4.0,
-                    (s - sp + spp - sppp) / 4.0, (s + sp - spp - sppp) / 4.0,
-                    (s - sp - spp + sppp) / 4.0)
+        return ((s + sp + spp + sppp) / 4.0, (s - sp + spp - sppp) / 4.0,
+                (s + sp - spp - sppp) / 4.0, (s - sp - spp + sppp) / 4.0)
     if kind is _PLANAR:
         w1, w2 = parts
         ymt = (w1.real - w2.real) / _SQRT2
         ypt = (w1.imag + w2.imag) / _SQRT2
-        return Quad(kind, (w1.real + w2.real) / 2.0, (ymt + ypt) / 2.0,
-                    (w1.imag - w2.imag) / 2.0, (ypt - ymt) / 2.0)
+        return ((w1.real + w2.real) / 2.0, (ymt + ypt) / 2.0,
+                (w1.imag - w2.imag) / 2.0, (ypt - ymt) / 2.0)
     vp, vm, w1 = parts
-    return Quad(kind, vp / 4.0 + vm / 4.0 + w1.real / 2.0,
-                vp / 4.0 - vm / 4.0 + w1.imag / 2.0,
-                vp / 4.0 + vm / 4.0 - w1.real / 2.0,
-                vp / 4.0 - vm / 4.0 - w1.imag / 2.0)
+    return (vp / 4.0 + vm / 4.0 + w1.real / 2.0,
+            vp / 4.0 - vm / 4.0 + w1.imag / 2.0,
+            vp / 4.0 + vm / 4.0 - w1.real / 2.0,
+            vp / 4.0 - vm / 4.0 - w1.imag / 2.0)
+
+
+def plane_join(kind: AlgebraKind, parts: tuple) -> Quad:
+    """Inverse of :func:`plane_split`."""
+    return Quad(kind, *_join(kind, parts))
+
+
+# Per kind and in plane_split order, True for a complex plane and False
+# for a real line, read off the split of 1.
+_IS_PLANE = {kind: tuple(p.__class__ is complex for p in plane_split(one(kind)))
+             for kind in AlgebraKind}
 
 
 def _split_basis(kind: AlgebraKind) -> tuple:
     """The split-space basis in :func:`plane_split` order: 1 on each real
     line, 1 and then i on each complex plane, zero elsewhere."""
-    zeros = tuple(0j if p.__class__ is complex else 0.0
-                  for p in plane_split(one(kind)))
+    planes = _IS_PLANE[kind]
+    zeros = tuple(0j if plane else 0.0 for plane in planes)
     return tuple(zeros[:j] + (v,) + zeros[j + 1:]
-                 for j, p in enumerate(zeros)
-                 for v in ((1 + 0j, 1j) if p.__class__ is complex else (1.0,)))
+                 for j, plane in enumerate(planes)
+                 for v in ((1 + 0j, 1j) if plane else (1.0,)))
 
 
 def _flatten(parts) -> list:

@@ -21,8 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, mul, scale, zero
-from .algebra_core import _split_basis, _unit_products
-from .canonical import CANONICAL_BASES, plane_join, plane_split
+from .algebra_core import (_IS_PLANE, _split_basis, _unit_products, plane_join,
+                           plane_split)
 
 __all__ = [
     "SeriesSpec",
@@ -68,7 +68,7 @@ class NearBoundaryWarning(UserWarning):
 
 # -- series ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SeriesSpec:
     """Coefficients a0..aL of sum a_l * u**l, all of one kind."""
 
@@ -85,7 +85,7 @@ class SeriesSpec:
                                  f"{self.kind} series")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ConvergenceBounds:
     """Tail-ratio estimates; `global_bound` is in modulus units |u|,
     `canonical` is one radius per decoupled plane/line (plane-projection
@@ -127,8 +127,9 @@ def eval_series_canonical(s: SeriesSpec, u: Quad) -> Quad:
 # |uv| <= c*|u|*|v| with the sharp c = 1/|e| for the shortest element e of
 # the idempotent basis: the split parts are orthogonal, with weights |e|^2.
 _GLOBAL_MUL_FACTOR = {
-    kind: math.sqrt(1.0 / min(sum(c * c for c in e.components) for e in basis))
-    for kind, basis in CANONICAL_BASES.items()
+    kind: math.sqrt(1.0 / min(sum(c * c for c in plane_join(kind, b).components)
+                              for b in _split_basis(kind)))
+    for kind in AlgebraKind
 }
 
 
@@ -269,7 +270,7 @@ def check_second_order(f, u0: Quad, h: float = 1e-4) -> float:
 
 # -- loops and integration --------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Loop:
     """Closed polyline of Quad samples (first == last, >= 8 segments).
 
@@ -413,7 +414,7 @@ def integrate_loop(f, loop: Loop) -> Quad:
 
 # -- winding and residues ----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class WindingQuery:
     """Point-in-closed-polygon query in one projection plane."""
 
@@ -512,13 +513,13 @@ def residue_prediction(poles, loop: Loop) -> Quad:
             projection (quadrature accuracy degrades).
     """
     kind = loop.kind
-    splits = [plane_split(p) for p in loop.points]
-    planes = [j for j, p in enumerate(splits[0]) if p.__class__ is complex]
+    planes = [j for j, plane in enumerate(_IS_PLANE[kind]) if plane]
     if not planes:
         return zero(kind)
+    splits = [plane_split(p) for p in loop.points]
     projections = [tuple((w[j].real, w[j].imag) for w in splits)
                    for j in planes]
-    total = [0.0] * len(splits[0])
+    total = [0.0] * len(_IS_PLANE[kind])
     for u_j, a_j in poles:
         if u_j.kind is not kind or a_j.kind is not kind:
             raise ValueError("pole kind does not match loop kind")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from . import elementary
 from .algebra_core import (
+    _IS_PLANE,
     AlgebraKind,
     DomainError,
     Quad,
@@ -85,7 +86,7 @@ _NORMAL_MIN = 2.2250738585072014e-308   # smallest normal double
 
 # -- canonical coordinate records ----------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CanonicalCircular:
     xi: float
     upsilon: float
@@ -93,7 +94,7 @@ class CanonicalCircular:
     zeta: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CanonicalHyperbolic:
     s: float
     s_prime: float
@@ -101,7 +102,7 @@ class CanonicalHyperbolic:
     s_triple_prime: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CanonicalPlanar:
     xi: float
     upsilon: float
@@ -109,7 +110,7 @@ class CanonicalPlanar:
     zeta: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CanonicalPolar:
     v_plus: float
     v_minus: float
@@ -163,17 +164,10 @@ _CANONICAL_SCALE = {
     AlgebraKind.POLAR: 1.0,
 }
 
-# Which split parts are complex planes, read off the split of 1.
-_IS_PLANE = {
-    kind: tuple(p.__class__ is complex
-                for p in plane_split(Quad(kind, 1.0, 0.0, 0.0, 0.0)))
-    for kind in AlgebraKind
-}
-
 
 def _regroup(c: CanonicalCoords, scale: float) -> tuple:
     """The record's fields, times scale, grouped back into split parts."""
-    flat = iter([scale * getattr(c, name) for name in c.__slots__])
+    flat = iter([scale * getattr(c, name) for name in c.__match_args__])
     return tuple(complex(next(flat), next(flat)) if plane else next(flat)
                  for plane in _IS_PLANE[_KIND_OF_CANONICAL[type(c)]])
 
@@ -206,7 +200,7 @@ def canonical_mul(c1: CanonicalCoords, c2: CanonicalCoords) -> CanonicalCoords:
 
 # -- exponential form ------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ExpForm:
     """Amplitude-and-angles representation on the kind's validity domain.
 
@@ -257,7 +251,7 @@ _EXPFORM_FIELDS = {
 }
 
 _EXPFORM_UNUSED = {
-    kind: tuple(name for name in ExpForm.__slots__
+    kind: tuple(name for name in ExpForm.__match_args__
                 if name != "kind" and name not in required)
     for kind, required in _EXPFORM_FIELDS.items()
 }
@@ -413,7 +407,7 @@ def from_exp_form(f: ExpForm) -> Quad:
 
 # -- trigonometric form ----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TrigForm:
     """Modulus-and-angles view: d plus the kind's angle chart.
 

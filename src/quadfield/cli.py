@@ -240,7 +240,6 @@ def _parse_loop(kind: AlgebraKind, text: str):
 
 
 def _cmd_integrate(args) -> str:
-    from . import elementary
     from .calculus import integrate_loop, residue_prediction
 
     kind = AlgebraKind(args.kind)
@@ -267,6 +266,8 @@ def _cmd_integrate(args) -> str:
             return mul(coeff, pow_int(u - u0, 2))
         prediction = zero(kind)
     else:  # exp
+        from . import elementary
+
         def f(u):
             return mul(elementary.exp(u), inverse(u - u0, tol=tol))
         prediction = residue_prediction([(u0, elementary.exp(u0))], loop)

@@ -66,7 +66,7 @@ class CosexpFamily(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CosexpKind:
     """One of the eight cosexponential functions: family plus index k."""
 

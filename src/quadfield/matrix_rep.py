@@ -27,7 +27,7 @@ __all__ = [
     "CHANGE_OF_BASIS",
 ]
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Matrix4:
     """Row-major 4x4 real matrix."""
 

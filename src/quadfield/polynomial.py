@@ -18,8 +18,12 @@ Components along the real lines (all four hyperbolic lines, the polar
 v+ and v- lines) can have complex roots.  Such roots have no real Quad
 representation: they are returned as `ComplexQuad` values (conjugate
 pairs), and `pair_conjugates` regroups them so callers can render real
-quadratic factors.  Complexified products run on the same kernels as
-``mul`` (``algebra_core._MUL``), which take complex components as well.
+quadratic factors.  Roots are joined with ``algebra_core._join``, the
+formulas of ``plane_join``, which take complex line entries as well, and
+each residual is evaluated per component and joined once.  Only
+`reconstruct` and `quadratic_factor` run complexified products, on the
+same kernels as ``mul`` (``algebra_core._MUL``), which take complex
+components as well.
 """
 
 from __future__ import annotations
@@ -29,10 +33,13 @@ import math
 from dataclasses import dataclass
 
 from .algebra_core import (
+    _IS_PLANE,
     _MUL,
+    _NODAL_SETS,
     AlgebraKind,
     Quad,
     QuadfieldError,
+    _join,
     inverse,
     modulus,
     mul,
@@ -64,14 +71,14 @@ _PRUNE_LIMIT = 1e300
 
 
 class NoConvergence(QuadfieldError):
-    """Root iteration exceeded its cap; message names the component."""
+    """Root iteration exceeded its cap; message names the component's nodal set."""
 
 
 class EnumerationBudgetExceeded(QuadfieldError):
     """enumerate_factorizations used up its work budget; message names it."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Poly:
     """Monic polynomial; coeffs run leading-first (a0=1, ..., am constant)."""
 
@@ -109,7 +116,7 @@ class Poly:
         return cls(kind, (one,) + tuple(mul(lead_inv, a) for a in coeffs[1:]))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ComplexQuad:
     """A root whose canonical line components are complex.
 
@@ -133,7 +140,7 @@ class ComplexQuad:
                            self.z.conjugate(), self.t.conjugate())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Factorization:
     """Roots (length = degree) and the max |P(root)| residual."""
 
@@ -156,14 +163,6 @@ def eval_poly(p: Poly, u: Quad) -> Quad:
 
 
 # -- component machinery ------------------------------------------------------
-
-def _component_names(kind: AlgebraKind) -> tuple[str, ...]:
-    if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
-        return ("plus plane", "minus plane")
-    if kind is AlgebraKind.HYPERBOLIC:
-        return ("s line", "s' line", "s'' line", "s''' line")
-    return ("v+ line", "v- line", "mu plane")
-
 
 def _horner_c(coeffs: list[complex], z: complex) -> complex:
     acc = coeffs[0]
@@ -235,35 +234,6 @@ def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
     return out  # type: ignore[return-value]
 
 
-def _join_components(kind: AlgebraKind, parts: tuple) -> tuple:
-    """Component values -> (x, y, z, t) scalars, complex in general.
-
-    Circular/planar joins are always real; hyperbolic/polar inherit any
-    imaginary parts of their real-line component values.  The distinguished
-    complex-plane value contributes its real/imaginary parts directly (the
-    choice that keeps roots as real as the line components allow).
-    """
-    if kind is AlgebraKind.CIRCULAR:
-        w1, w2 = parts
-        return ((w1.real + w2.real) / 2.0, (w1.imag + w2.imag) / 2.0,
-                (w1.imag - w2.imag) / 2.0, (w1.real - w2.real) / 2.0)
-    if kind is AlgebraKind.PLANAR:
-        w1, w2 = parts
-        ymt = (w1.real - w2.real) / math.sqrt(2.0)
-        ypt = (w1.imag + w2.imag) / math.sqrt(2.0)
-        return ((w1.real + w2.real) / 2.0, (ymt + ypt) / 2.0,
-                (w1.imag - w2.imag) / 2.0, (ypt - ymt) / 2.0)
-    if kind is AlgebraKind.HYPERBOLIC:
-        s, sp, spp, sppp = parts
-        return ((s + sp + spp + sppp) / 4.0, (s - sp + spp - sppp) / 4.0,
-                (s + sp - spp - sppp) / 4.0, (s - sp - spp + sppp) / 4.0)
-    vp, vm, w1 = parts
-    half = (vp + vm) / 4.0
-    diff = (vp - vm) / 4.0
-    return (half + w1.real / 2.0, diff + w1.imag / 2.0,
-            half - w1.real / 2.0, diff - w1.imag / 2.0)
-
-
 def _as_root(kind: AlgebraKind, comps: tuple):
     """Return a Quad when the components are (numerically) real."""
     scale_ref = max(1.0, max(abs(c) for c in comps))
@@ -272,32 +242,18 @@ def _as_root(kind: AlgebraKind, comps: tuple):
     return ComplexQuad(kind, *(complex(c) for c in comps))
 
 
-def _eval_complexified(p: Poly, comps: tuple, kind: AlgebraKind) -> float:
-    """|P(root)| with complex-component Horner on the product kernels."""
-    mulc = _MUL[kind]
-    acc = p.coeffs[0].components
-    for a in p.coeffs[1:]:
-        acc = mulc(*acc, *comps)
-        acc = tuple(q + r for q, r in zip(acc, a.components))
-    return math.sqrt(sum(abs(c) ** 2 for c in acc))
-
-
-def _line_flags(p: Poly) -> list[bool]:
-    """Per component, True for a real line and False for a complex plane
-    (plane_split gives a line's projection as a float)."""
-    return [v.__class__ is float for v in plane_split(p.coeffs[0])]
+def _component_coeffs(p: Poly) -> list[list[complex]]:
+    """Per split component, the coefficients of the projected polynomial."""
+    return [list(map(complex, col)) for col in zip(*map(plane_split, p.coeffs))]
 
 
 def _component_root_lists(p: Poly) -> list[list[complex]]:
     """Sorted per-component roots of the projected polynomials."""
-    kind = p.kind
-    coeff_parts = [plane_split(a) for a in p.coeffs]
-    lines = _line_flags(p)
     lists: list[list[complex]] = []
-    for j, name in enumerate(_component_names(kind)):
-        comp_coeffs = [complex(parts[j]) for parts in coeff_parts]
-        roots = _durand_kerner(comp_coeffs, name)
-        if lines[j]:
+    for name, plane, coeffs in zip(_NODAL_SETS[p.kind], _IS_PLANE[p.kind],
+                                   _component_coeffs(p)):
+        roots = _durand_kerner(coeffs, name)
+        if not plane:
             roots = _symmetrize_conjugates(roots)
         roots.sort(key=lambda z: (z.real, z.imag))
         lists.append(roots)
@@ -305,14 +261,20 @@ def _component_root_lists(p: Poly) -> list[list[complex]]:
 
 
 def _assemble(p: Poly, component_orders: tuple[tuple[complex, ...], ...]):
-    """Zip the per-component root orders into roots plus their residual."""
+    """Zip the per-component root orders into roots plus their residual.
+
+    The residual is |P(root)|: each component polynomial is evaluated at
+    its component root, and the values are joined once.
+    """
     kind = p.kind
+    comp_coeffs = _component_coeffs(p)
     roots = []
     residual = 0.0
-    for idx in range(p.degree):
-        comps = _join_components(kind, tuple(order[idx] for order in component_orders))
-        residual = max(residual, _eval_complexified(p, comps, kind))
-        roots.append(_as_root(kind, comps))
+    for parts in zip(*component_orders):
+        values = _join(kind, tuple(_horner_c(c, z)
+                                   for c, z in zip(comp_coeffs, parts)))
+        residual = max(residual, math.sqrt(sum(abs(v) ** 2 for v in values)))
+        roots.append(_as_root(kind, _join(kind, parts)))
     return Factorization(roots=tuple(roots), residual=residual)
 
 
@@ -423,7 +385,7 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
     prefix (components 0..j in their chosen orders) is cut when its root
     tuples cannot be closed under conjugation: conjugation acts on the
     join as conjugating every line entry and keeping every plane entry,
-    since `_join_components` puts a plane value's real and imaginary parts
+    since the join puts a plane value's real and imaginary parts
     into real components.  Closure of the full root multiset implies
     closure of every such projection, so only leaves that the exact check
     would reject are cut, and the list returned is the one the exhaustive
@@ -465,8 +427,8 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
     scale = max((abs(v) for lst in lists for v in lst), default=0.0)
     if scale < _PRUNE_LIMIT:
         tol = _PAIR_TOL * max(1.0, scale)
-        masks = [_pairing_masks(lst, line, tol)
-                 for lst, line in zip(lists, _line_flags(p))]
+        masks = [_pairing_masks(lst, not plane, tol)
+                 for lst, plane in zip(lists, _IS_PLANE[p.kind])]
     else:  # not finite, or the join may overflow: cut nothing
         masks = [[full] * m for _ in lists]
     depth = len(lists)

@@ -83,23 +83,27 @@ class TestImportFootprint:
 
     # argv of one valid command, and the modules it needs beyond the core
     COMMANDS = [
-        (["eval", "--kind=circular", "--op=mul", "--a=1,2,3,4", "--b=0,1,0,0"],
-         set()),
-        (["expform", "--kind=circular", "--u=1,0.1,0.2,0.1"],
-         {"canonical", "elementary"}),
-        (["factor", "--kind=hyperbolic", "--coeffs=[1,0,-1]",
-          "--enumerate=2"], {"polynomial"}),
-        (["integrate", "--kind=circular",
-          '--loop={"center":[0,0,0,0],"radius":0.5,"samples":64}',
-          "--integrand=exp", "--pole=0,0,0,0"],
-         {"calculus", "canonical", "elementary"}),
-        (["cosexp", "--family=f", "--from=0", "--to=1", "--step=0.5"],
-         {"elementary"}),
-        (["matrix", "--kind=polar", "--u=1,2,3,4"], {"matrix_rep"}),
+        pytest.param(["eval", "--kind=circular", "--op=mul", "--a=1,2,3,4",
+                      "--b=0,1,0,0"], set(), id="eval"),
+        pytest.param(["expform", "--kind=circular", "--u=1,0.1,0.2,0.1"],
+                     {"canonical", "elementary"}, id="expform"),
+        pytest.param(["factor", "--kind=hyperbolic", "--coeffs=[1,0,-1]",
+                      "--enumerate=2"], {"polynomial"}, id="factor"),
+        pytest.param(["integrate", "--kind=circular",
+                      '--loop={"center":[0,0,0,0],"radius":0.5,"samples":64}',
+                      "--integrand=exp", "--pole=0,0,0,0"],
+                     {"calculus", "elementary"}, id="integrate"),
+        pytest.param(["integrate", "--kind=circular",
+                      '--loop={"center":[0,0,0,0],"radius":0.5,"samples":64}',
+                      "--integrand=pole", "--pole=0,0,0,0"],
+                     {"calculus"}, id="integrate_pole"),
+        pytest.param(["cosexp", "--family=f", "--from=0", "--to=1",
+                      "--step=0.5"], {"elementary"}, id="cosexp"),
+        pytest.param(["matrix", "--kind=polar", "--u=1,2,3,4"],
+                     {"matrix_rep"}, id="matrix"),
     ]
 
-    @pytest.mark.parametrize("argv,modules", COMMANDS,
-                             ids=[argv[0] for argv, _ in COMMANDS])
+    @pytest.mark.parametrize("argv,modules", COMMANDS)
     def test_subcommand_loads_only_its_modules(self, argv, modules):
         cp = run_python("-c", _RUN_AND_LIST_MODULES, *argv)
         assert cp.returncode == 0, cp.stderr

@@ -6,12 +6,12 @@
   the second-order Laplace/wave/mixed equations each kind's analytic
   functions satisfy, via central finite differences; both sets of
   relations are read off the kind's unit products.
-* Trapezoidal loop integration of Quad-valued integrands with the
-  closed-form residue predictions: the loop integral of du/(u - u0) picks
-  up the kind's residue unit of each complex plane of the split (2*pi*i
-  on that plane, joined back), times the signed winding number of the
-  loop's projection about the pole's; hyperbolic loops of regular
-  functions always vanish.
+* Trapezoidal loop integration of Quad-valued integrands, summed one
+  split part at a time and joined once, with the closed-form residue
+  predictions: the loop integral of du/(u - u0) picks up the kind's
+  residue unit of each complex plane of the split (2*pi*i on that plane,
+  joined back), times the signed winding number of the loop's projection
+  about the pole's; hyperbolic loops of regular functions always vanish.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, mul, scale, zero
-from .algebra_core import (_IS_PLANE, _split_basis, _unit_products, plane_join,
+from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, mul, zero
+from .algebra_core import (_IS_PLANE, _overflow, _require_same_kind,
+                           _split_basis, _unit_products, plane_join,
                            plane_split)
 
 __all__ = [
@@ -333,83 +334,81 @@ class Loop:
         if samples < 8:
             raise ValueError(f"need at least 8 samples, got {samples!r}")
         kind = center.kind
-        parts0 = plane_split(center)
-        pts: list[Quad] = []
-        if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
-            if not 0.0 < psi < _PI / 2.0:
-                raise ValueError(f"psi must lie in (0, pi/2), got {psi!r}")
+        charted = kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR)
+        if charted and not 0.0 < psi < _PI / 2.0:
+            raise ValueError(f"psi must lie in (0, pi/2), got {psi!r}")
+        if kind is AlgebraKind.POLAR and plane != "plus":
+            raise ValueError(
+                "polar circles wind only in the (v1, v1~) plane; "
+                "use plane='plus'"
+            )
+        c = plane_split(center)
+        rings = (complex(math.cos(th), math.sin(th))
+                 for th in (2.0 * _PI * i / samples for i in range(samples)))
+        if charted:
             # Chart radii scale by sqrt(2) in plane-projection units.
             r_plus = _SQRT2 * radius * math.sin(psi)
             r_minus = _SQRT2 * radius * math.cos(psi)
             fixed = complex(math.cos(fixed_angle), math.sin(fixed_angle))
-            for i in range(samples):
-                th = 2.0 * _PI * i / samples
-                ring = complex(math.cos(th), math.sin(th))
-                if plane == "plus":
-                    w1 = parts0[0] + r_plus * ring
-                    w2 = parts0[1] + r_minus * fixed
-                else:
-                    w1 = parts0[0] + r_plus * fixed
-                    w2 = parts0[1] + r_minus * ring
-                pts.append(plane_join(kind, (w1, w2)))
+            if plane == "plus":
+                w2 = c[1] + r_minus * fixed
+                parts = ((c[0] + r_plus * ring, w2) for ring in rings)
+            else:
+                w1 = c[0] + r_plus * fixed
+                parts = ((w1, c[1] + r_minus * ring) for ring in rings)
         elif kind is AlgebraKind.HYPERBOLIC:
-            for i in range(samples):
-                th = 2.0 * _PI * i / samples
-                c, s = radius * math.cos(th), radius * math.sin(th)
-                if plane == "plus":
-                    parts = (parts0[0] + c, parts0[1] + s, parts0[2], parts0[3])
-                else:
-                    parts = (parts0[0], parts0[1], parts0[2] + c, parts0[3] + s)
-                pts.append(plane_join(kind, parts))
+            if plane == "plus":
+                parts = ((c[0] + radius * ring.real, c[1] + radius * ring.imag,
+                          c[2], c[3]) for ring in rings)
+            else:
+                parts = ((c[0], c[1], c[2] + radius * ring.real,
+                          c[3] + radius * ring.imag) for ring in rings)
         else:
-            if plane != "plus":
-                raise ValueError(
-                    "polar circles wind only in the (v1, v1~) plane; "
-                    "use plane='plus'"
-                )
-            for i in range(samples):
-                th = 2.0 * _PI * i / samples
-                w1 = parts0[2] + _SQRT2 * radius * complex(math.cos(th),
-                                                           math.sin(th))
-                pts.append(plane_join(kind, (parts0[0], parts0[1], w1)))
-        pts.append(pts[0])
+            r = _SQRT2 * radius
+            parts = ((c[0], c[1], c[2] + r * ring) for ring in rings)
+        pts = [plane_join(kind, p) for p in parts]
         return cls(
-            points=tuple(pts),
+            points=tuple(pts + pts[:1]),
             plane=plane,
             center=center,
             radius=float(radius),
-            psi=float(psi) if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR)
-            else None,
-            fixed_angle=float(fixed_angle)
-            if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR) else None,
+            psi=float(psi) if charted else None,
+            fixed_angle=float(fixed_angle) if charted else None,
         )
 
 
 def integrate_loop(f, loop: Loop) -> Quad:
     """Trapezoidal quadrature of the loop integral of f(u) du.
 
-    du is the Quad increment between consecutive samples; segment
-    contributions use the endpoint-average of f.  Summation order is
-    fixed, so results are deterministic for a given loop.
+    Each segment adds the endpoint-average of f times the increment du.
+    The sum runs one split part at a time, in sample order, and is joined
+    once, so results are deterministic for a given loop.
 
     Raises:
         SingularOnPath: f failed to evaluate at some sample.
+        ResultOverflow: the integral lies beyond the range of a double.
     """
-    values: list[Quad] = []
+    values = []
     for i, p in enumerate(loop.points[:-1]):
         try:
-            values.append(f(p))
+            v = f(p)
         except (QuadfieldError, ArithmeticError, ValueError) as exc:
             raise SingularOnPath(
                 f"integrand failed at sample {i}: {exc}"
             ) from exc
+        _require_same_kind(v, p)
+        values.append(plane_split(v))
     values.append(values[0])
-    total = zero(loop.kind)
-    for i in range(len(loop.points) - 1):
-        du = loop.points[i + 1] - loop.points[i]
-        avg = scale(values[i] + values[i + 1], 0.5)
-        total = total + mul(avg, du)
-    return total
+    totals = []
+    for us, fs in zip(zip(*map(plane_split, loop.points)), zip(*values)):
+        total = 0.0
+        for i in range(len(us) - 1):
+            total += (fs[i] + fs[i + 1]) * 0.5 * (us[i + 1] - us[i])
+        totals.append(total)
+    try:
+        return plane_join(loop.kind, tuple(totals))
+    except ValueError:
+        raise _overflow(loop.kind, "loop integral") from None
 
 
 # -- winding and residues ----------------------------------------------------
@@ -516,8 +515,9 @@ def residue_prediction(poles, loop: Loop) -> Quad:
     planes = [j for j, plane in enumerate(_IS_PLANE[kind]) if plane]
     if not planes:
         return zero(kind)
-    splits = [plane_split(p) for p in loop.points]
-    projections = [tuple((w[j].real, w[j].imag) for w in splits)
+    # Loop allows a closing gap, so each projection closes on its first vertex.
+    splits = [plane_split(p) for p in loop.points[:-1]]
+    projections = [tuple((w[j].real, w[j].imag) for w in splits + splits[:1])
                    for j in planes]
     total = [0.0] * len(_IS_PLANE[kind])
     for u_j, a_j in poles:

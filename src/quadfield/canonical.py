@@ -19,15 +19,16 @@ coordinates are the split parts themselves, flattened and scaled;
 ``canonical_mul`` multiplies them part by part, and each idempotent-basis
 element is the join of one split-basis vector (1, or i on a plane).  Only
 the record types, their scales and the exponential/trigonometric charts
-are written out per kind.
+are written out per kind.  The exponential chart, both ways, runs on the
+split parts, so this module imports only the core.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from . import elementary
 from .algebra_core import (
     _IS_PLANE,
     AlgebraKind,
@@ -35,6 +36,8 @@ from .algebra_core import (
     Quad,
     _domain_split,
     _flatten,
+    _join,
+    _overflow,
     _split_basis,
     modulus,
     plane_join,
@@ -80,6 +83,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_FOURTH_ROOT2 = 2.0 ** 0.25
 _TWO_PI = 2.0 * math.pi
 _NORMAL_MIN = 2.2250738585072014e-308   # smallest normal double
 
@@ -316,14 +320,9 @@ def exp_form(u: Quad) -> ExpForm:
     kind = u.kind
     parts = _domain_split(u, "exp form")
     if kind is AlgebraKind.HYPERBOLIC:
-        s, sp, spp, sppp = (math.log(v) for v in parts)
-        return _checked(ExpForm(
-            kind=kind,
-            mu=math.exp((s + sp + spp + sppp) / 4.0),
-            y1=(s - sp + spp - sppp) / 4.0,
-            z1=(s + sp - spp - sppp) / 4.0,
-            t1=(s - sp - spp + sppp) / 4.0,
-        ))
+        x, y1, z1, t1 = _join(kind, tuple(math.log(v) for v in parts))
+        return _checked(ExpForm(kind=kind, mu=math.exp(x), y1=y1, z1=z1,
+                                t1=t1))
     if kind is AlgebraKind.POLAR:
         vp, vm, w1 = parts
         try:
@@ -359,39 +358,28 @@ def exp_form(u: Quad) -> ExpForm:
     ))
 
 
-def _exponent_quad(f: ExpForm) -> Quad:
-    """The Quad whose exponential reconstructs the value of an ExpForm."""
+def _exp_parts(f: ExpForm) -> tuple:
+    """The split parts of f's value: the readings of exp_form, inverted.
+
+    Circular/planar: tan(psi) = rho_plus/rho_minus and
+    rho^2 = rho_plus*rho_minus; polar: tan(theta_pm) = sqrt(2)*mu_plus/v_pm
+    and rho^4 = v_plus*v_minus*mu_plus^2.
+    Each amplitude is rho times a factor of the angles alone, so it over-
+    or underflows only where the part itself does.
+    """
     kind = f.kind
-    if kind is AlgebraKind.CIRCULAR:
-        return Quad(
-            kind,
-            math.log(f.rho),
-            (f.phi + f.chi) / 2.0,
-            (f.phi - f.chi) / 2.0,
-            0.5 * math.log(math.tan(f.psi)),
-        )
-    if kind is AlgebraKind.PLANAR:
-        half_sum = (f.phi + f.chi) / (2.0 * _SQRT2)
-        log_tan = math.log(math.tan(f.psi)) / (2.0 * _SQRT2)
-        return Quad(
-            kind,
-            math.log(f.rho),
-            half_sum + log_tan,
-            (f.phi - f.chi) / 2.0,
-            half_sum - log_tan,
-        )
     if kind is AlgebraKind.HYPERBOLIC:
-        return Quad(kind, math.log(f.mu), f.y1, f.z1, f.t1)
-    l_plus = math.log(_SQRT2 / math.tan(f.theta_plus))
-    l_minus = math.log(_SQRT2 / math.tan(f.theta_minus))
-    diff = (l_plus - l_minus) / 4.0
-    return Quad(
-        AlgebraKind.POLAR,
-        math.log(f.rho),
-        diff + f.phi / 2.0,
-        (l_plus + l_minus) / 4.0,
-        diff - f.phi / 2.0,
-    )
+        logs = plane_split(Quad(kind, math.log(f.mu), f.y1, f.z1, f.t1))
+        return tuple(math.exp(v) for v in logs)
+    if kind is AlgebraKind.POLAR:
+        q_plus = math.tan(f.theta_plus) ** 0.25
+        q_minus = math.tan(f.theta_minus) ** 0.25
+        return (f.rho * (_FOURTH_ROOT2 * q_minus / q_plus ** 3),
+                f.rho * (_FOURTH_ROOT2 * q_plus / q_minus ** 3),
+                cmath.rect(f.rho * (q_plus * q_minus / _FOURTH_ROOT2), f.phi))
+    root_tan = math.sqrt(math.tan(f.psi))
+    return (cmath.rect(f.rho * root_tan, f.phi),
+            cmath.rect(f.rho / root_tan, f.chi))
 
 
 def from_exp_form(f: ExpForm) -> Quad:
@@ -402,7 +390,10 @@ def from_exp_form(f: ExpForm) -> Quad:
             naming the field.
         ResultOverflow: the value lies beyond the range of a double.
     """
-    return elementary.exp(_exponent_quad(_checked(f)))
+    try:
+        return plane_join(f.kind, _exp_parts(_checked(f)))
+    except (OverflowError, ValueError):   # math.exp, or an infinite component
+        raise _overflow(f.kind, "exp form value") from None
 
 
 # -- trigonometric form ----------------------------------------------------

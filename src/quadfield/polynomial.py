@@ -176,7 +176,8 @@ def _durand_kerner(coeffs: list[complex], name: str) -> list[complex]:
 
     Simultaneous iteration from the classic geometric starting points
     (0.4+0.9i)^k; in-place updates, cap 500 sweeps, convergence when the
-    largest correction drops below 1e-12.
+    largest correction drops below 1e-12.  Raises NoConvergence past the
+    cap or as soon as an iterate is not finite.
     """
     m = len(coeffs) - 1
     if m == 0:
@@ -185,15 +186,19 @@ def _durand_kerner(coeffs: list[complex], name: str) -> list[complex]:
     for _ in range(_DK_CAP):
         delta = 0.0
         for i in range(m):
-            num = _horner_c(coeffs, z[i])
+            zi = z[i]
+            num = _horner_c(coeffs, zi)
             den = 1.0 + 0.0j
             for j in range(m):
                 if j != i:
-                    den *= z[i] - z[j]
+                    den *= zi - z[j]
             if den == 0.0:
                 den = complex(_DK_TOL, 0.0)
             step = num / den
-            z[i] = z[i] - step
+            z[i] = zi = zi - step
+            if zi - zi:   # nonzero only for inf or NaN, as from a non-finite step
+                raise NoConvergence(f"root finder left the double range on "
+                                    f"the {name} component")
             delta = max(delta, abs(step))
         if delta < _DK_TOL:
             return z

@@ -446,6 +446,19 @@ class TestResiduePrediction:
             pred = residue_prediction([(u0, a)], loop)
             assert max_abs_diff(pred, mul(RESIDUE_UNITS[kind][0], a)) < 1e-14
 
+    @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR,
+                                      AlgebraKind.PLANAR, AlgebraKind.POLAR])
+    def test_closing_gap_predicts_as_snapped(self, kind):
+        # Loop accepts a last point within 1e-12*max(1, |first|) of the
+        # first; each projection must still close on its first vertex.
+        snapped = Loop.circle(zero(kind), 0.5, samples=16)
+        x, y, z, t = snapped.points[-1].components
+        gapped = Loop(points=snapped.points[:-1] + (Quad(kind, x + 1e-13, y,
+                                                         z, t),))
+        poles = [(zero(kind), one(kind))]
+        assert (residue_prediction(poles, gapped)
+                == residue_prediction(poles, snapped))
+
     def test_two_poles_sum(self):
         kind = AlgebraKind.CIRCULAR
         loop = Loop.circle(zero(kind), 1.0, samples=64)

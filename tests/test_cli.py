@@ -81,12 +81,22 @@ class TestImportFootprint:
         assert {m for m in loaded if m.startswith("quadfield")} == _CORE
         assert "dataclasses" not in loaded
 
+    @pytest.mark.parametrize("module", ["calculus", "canonical", "elementary",
+                                        "matrix_rep", "polynomial"])
+    def test_library_module_loads_only_the_core(self, module):
+        cp = run_python("-c", f"import json, sys, quadfield.{module}; "
+                              "print(json.dumps(sorted(sys.modules)))")
+        assert cp.returncode == 0, cp.stderr
+        loaded = set(json.loads(cp.stdout))
+        assert ({m for m in loaded if m.startswith("quadfield")}
+                == _CORE | {f"quadfield.{module}"})
+
     # argv of one valid command, and the modules it needs beyond the core
     COMMANDS = [
         pytest.param(["eval", "--kind=circular", "--op=mul", "--a=1,2,3,4",
                       "--b=0,1,0,0"], set(), id="eval"),
         pytest.param(["expform", "--kind=circular", "--u=1,0.1,0.2,0.1"],
-                     {"canonical", "elementary"}, id="expform"),
+                     {"canonical"}, id="expform"),
         pytest.param(["factor", "--kind=hyperbolic", "--coeffs=[1,0,-1]",
                       "--enumerate=2"], {"polynomial"}, id="factor"),
         pytest.param(["integrate", "--kind=circular",
@@ -314,6 +324,13 @@ class TestFactor:
         roots = sorted(tuple(r["components"]) for r in payload["roots"])
         assert roots == [(-1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]
         assert len(payload["factorizations"]) == 8
+
+    def test_overflowing_root_iteration_is_a_json_error(self, capsys):
+        coeffs = [[1, 0, 0, 0]] + [[1e80, 3e79, -1e79, 0]] * 4
+        code, out, _ = run_main(capsys, "factor", "--kind", "hyperbolic",
+                                "--coeffs", json.dumps(coeffs))
+        assert code == 2
+        assert json.loads(out)["error"] == "NoConvergence"
 
     def test_planar_quadratic_roots(self, capsys):
         code, out, _ = run_main(capsys, "factor", "--kind", "planar",

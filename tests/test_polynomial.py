@@ -144,6 +144,16 @@ class TestFactorWorkedExamples:
     def test_no_convergence_is_reportable(self):
         assert issubclass(NoConvergence, QuadfieldError)
 
+    @pytest.mark.parametrize("kind,component", [
+        (AlgebraKind.HYPERBOLIC, "s"), (AlgebraKind.CIRCULAR, "rho_plus")])
+    def test_non_finite_iterate_raises(self, kind, component):
+        # The iterates overflow on coefficients near 1e80; a NaN iterate
+        # must not pass for convergence.
+        p = Poly(kind, (one(kind),) + (Quad(kind, 1e80, 3e79, -1e79, 0.0),) * 4)
+        with pytest.raises(NoConvergence,
+                           match=f"double range on the {component} component"):
+            factor(p)
+
 
 class TestEnumerate:
     COUNTS = {

@@ -34,7 +34,7 @@ _LAZY = {
     ),
     "elementary": (
         "CosexpFamily", "CosexpKind", "cos", "cosexp", "cosexp_series", "cosh",
-        "exp", "exp_factored", "f4", "g4", "log", "pow_real", "sin", "sinh",
+        "exp", "f4", "g4", "log", "pow_real", "sin", "sinh",
     ),
     "matrix_rep": (
         "CHANGE_OF_BASIS", "Matrix4", "block_diagonalize", "determinant",

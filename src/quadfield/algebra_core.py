@@ -18,9 +18,12 @@ the distance to those sets; ``inverse`` refuses to divide near them.
 (each map a unital ring homomorphism) and ``plane_join`` maps back; the
 nodal residuals are the moduli of the split parts.  ``Quad`` is a frozen
 ``__slots__`` class whose ``__init__`` runs ``__post_init__`` (kind check,
-float coercion, one NaN/inf test) exactly once; ``Amplitude`` and
-``SingularityReport`` are frozen ``__slots__`` records too, so importing
-this module does not import ``dataclasses``.
+float coercion, one NaN/inf test) exactly once.  ``_Record`` is the one
+base of every other record type in the package (``Amplitude`` and
+``SingularityReport`` here, the forms, loops, matrices and polynomials in
+the other modules): a frozen ``__slots__`` class with a frozen
+dataclass's behaviour, so no module of the package imports
+``dataclasses``.
 
 The kernels — products, amplitude quartics, and inverses as per-plane
 reciprocals joined back — live in ``quadfield._kernels_py``; ``BACKEND``
@@ -223,23 +226,44 @@ def _require_same_kind(u: Quad, v: Quad) -> None:
 
 
 class _Record:
-    """Frozen ``__slots__`` record with a dataclass's repr, eq and hash.
+    """Frozen ``__slots__`` record with a frozen dataclass's behaviour.
 
-    Subclasses list their fields in ``__slots__`` and set them in
-    ``__init__`` with ``object.__setattr__``; pickle and copy rebuild the
-    record from its fields.
+    A subclass names its fields once, in ``__slots__``; the last
+    ``_optional`` of them default to None.  Defining the subclass builds
+    its ``__init__`` from the fields, so it takes them by position and by
+    keyword (``TypeError`` on a missing or unknown argument), sets each
+    through its slot and then calls ``__post_init__`` if the subclass has
+    one; validation there writes a field with ``object.__setattr__``.
+    ``__match_args__`` is the field tuple.  repr, equality and hash are by
+    fields; pickle and copy rebuild the record from its fields.
+    Assignment and deletion of any name raise
+    ``dataclasses.FrozenInstanceError``, imported only to be raised.
     """
 
     __slots__ = ()
+    _optional = 0
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__ = cls.__slots__
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+        exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__defaults__ = (None,) * cls._optional
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -267,11 +291,7 @@ class Amplitude(_Record):
     error).
     """
 
-    __slots__ = __match_args__ = ("nu", "rho")
-
-    def __init__(self, nu: float, rho: float | None) -> None:
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "rho", rho)
+    __slots__ = ("nu", "rho")
 
 
 class SingularityReport(_Record):
@@ -283,13 +303,7 @@ class SingularityReport(_Record):
     residual; ``singular`` is ``margin <= tol``.
     """
 
-    __slots__ = __match_args__ = ("singular", "nodal_sets", "margin")
-
-    def __init__(self, singular: bool, nodal_sets: tuple[str, ...],
-                 margin: float) -> None:
-        object.__setattr__(self, "singular", singular)
-        object.__setattr__(self, "nodal_sets", nodal_sets)
-        object.__setattr__(self, "margin", margin)
+    __slots__ = ("singular", "nodal_sets", "margin")
 
 
 _MUL = {

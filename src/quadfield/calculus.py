@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, mul, zero
-from .algebra_core import (_IS_PLANE, _overflow, _require_same_kind,
+from .algebra_core import (_IS_PLANE, _overflow, _Record, _require_same_kind,
                            _split_basis, _unit_products, plane_join,
                            plane_split)
 
@@ -69,12 +68,10 @@ class NearBoundaryWarning(UserWarning):
 
 # -- series ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_Record):
     """Coefficients a0..aL of sum a_l * u**l, all of one kind."""
 
-    kind: AlgebraKind
-    coeffs: tuple[Quad, ...]
+    __slots__ = ("kind", "coeffs")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -86,14 +83,12 @@ class SeriesSpec:
                                  f"{self.kind} series")
 
 
-@dataclass(frozen=True)
-class ConvergenceBounds:
+class ConvergenceBounds(_Record):
     """Tail-ratio estimates; `global_bound` is in modulus units |u|,
     `canonical` is one radius per decoupled plane/line (plane-projection
     units)."""
 
-    global_bound: float
-    canonical: tuple[float, ...]
+    __slots__ = ("global_bound", "canonical")
 
 
 def eval_series(s: SeriesSpec, u: Quad) -> Quad:
@@ -271,8 +266,7 @@ def check_second_order(f, u0: Quad, h: float = 1e-4) -> float:
 
 # -- loops and integration --------------------------------------------------
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(_Record):
     """Closed polyline of Quad samples (first == last, >= 8 segments).
 
     Build with :meth:`from_points`, or :meth:`circle` which expands the
@@ -285,12 +279,8 @@ class Loop:
     canonical-chart units.
     """
 
-    points: tuple[Quad, ...]
-    plane: str | None = None
-    center: Quad | None = None
-    radius: float | None = None
-    psi: float | None = None
-    fixed_angle: float | None = None
+    __slots__ = ("points", "plane", "center", "radius", "psi", "fixed_angle")
+    _optional = 5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -413,12 +403,10 @@ def integrate_loop(f, loop: Loop) -> Quad:
 
 # -- winding and residues ----------------------------------------------------
 
-@dataclass(frozen=True)
-class WindingQuery:
+class WindingQuery(_Record):
     """Point-in-closed-polygon query in one projection plane."""
 
-    point2d: tuple[float, float]
-    polygon2d: tuple[tuple[float, float], ...]
+    __slots__ = ("point2d", "polygon2d")
 
     def __post_init__(self) -> None:
         object.__setattr__(

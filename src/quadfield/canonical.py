@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .algebra_core import (
     _IS_PLANE,
@@ -38,6 +37,7 @@ from .algebra_core import (
     _flatten,
     _join,
     _overflow,
+    _Record,
     _split_basis,
     modulus,
     plane_join,
@@ -90,36 +90,20 @@ _NORMAL_MIN = 2.2250738585072014e-308   # smallest normal double
 
 # -- canonical coordinate records ----------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalCircular:
-    xi: float
-    upsilon: float
-    tau: float
-    zeta: float
+class CanonicalCircular(_Record):
+    __slots__ = ("xi", "upsilon", "tau", "zeta")
 
 
-@dataclass(frozen=True)
-class CanonicalHyperbolic:
-    s: float
-    s_prime: float
-    s_double_prime: float
-    s_triple_prime: float
+class CanonicalHyperbolic(_Record):
+    __slots__ = ("s", "s_prime", "s_double_prime", "s_triple_prime")
 
 
-@dataclass(frozen=True)
-class CanonicalPlanar:
-    xi: float
-    upsilon: float
-    tau: float
-    zeta: float
+class CanonicalPlanar(_Record):
+    __slots__ = ("xi", "upsilon", "tau", "zeta")
 
 
-@dataclass(frozen=True)
-class CanonicalPolar:
-    v_plus: float
-    v_minus: float
-    v1: float
-    v1_tilde: float
+class CanonicalPolar(_Record):
+    __slots__ = ("v_plus", "v_minus", "v1", "v1_tilde")
 
 
 CanonicalCoords = (
@@ -204,8 +188,7 @@ def canonical_mul(c1: CanonicalCoords, c2: CanonicalCoords) -> CanonicalCoords:
 
 # -- exponential form ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpForm:
+class ExpForm(_Record):
     """Amplitude-and-angles representation on the kind's validity domain.
 
     Fields by kind (others None):
@@ -215,17 +198,9 @@ class ExpForm:
     * polar: rho > 0, theta_plus, theta_minus in (0, pi/2), phi in [0, 2*pi)
     """
 
-    kind: AlgebraKind
-    rho: float | None = None
-    phi: float | None = None
-    chi: float | None = None
-    psi: float | None = None
-    mu: float | None = None
-    y1: float | None = None
-    z1: float | None = None
-    t1: float | None = None
-    theta_plus: float | None = None
-    theta_minus: float | None = None
+    __slots__ = ("kind", "rho", "phi", "chi", "psi", "mu", "y1", "z1", "t1",
+                 "theta_plus", "theta_minus")
+    _optional = 10
 
     def __post_init__(self) -> None:
         for name in _EXPFORM_FIELDS[self.kind]:
@@ -398,8 +373,7 @@ def from_exp_form(f: ExpForm) -> Quad:
 
 # -- trigonometric form ----------------------------------------------------
 
-@dataclass(frozen=True)
-class TrigForm:
+class TrigForm(_Record):
     """Modulus-and-angles view: d plus the kind's angle chart.
 
     circular/planar/hyperbolic carry (phi, chi, psi); polar carries the
@@ -407,13 +381,8 @@ class TrigForm:
     tan(lam) = v_minus/v_plus.
     """
 
-    kind: AlgebraKind
-    d: float
-    phi: float | None = None
-    chi: float | None = None
-    psi: float | None = None
-    theta: float | None = None
-    lam: float | None = None
+    __slots__ = ("kind", "d", "phi", "chi", "psi", "theta", "lam")
+    _optional = 5
 
 
 def trig_form(u: Quad) -> TrigForm:

@@ -11,11 +11,11 @@ two families of four-dimensional cosexponential functions:
 exp, cos, sin, cosh and sinh are evaluated one decoupled plane at a time
 (the plane maps are ring homomorphisms) through ``_planewise``: split,
 apply the ``cmath`` function on each complex plane and the ``math``
-function on each real line, join.  ``exp_factored`` keeps the component
-factorization exp(u) = e^x * exp(alpha y) * exp(beta z) * exp(gamma t) as
-an oracle; the addition-theorem fold over per-unit tables is a test
-oracle only and never runs here.  log also works one plane at a time and
-takes every azimuthal angle in [0, 2*pi).
+function on each real line, join.  The component factorization
+exp(u) = e^x * exp(alpha y) * exp(beta z) * exp(gamma t) and the
+addition-theorem fold over per-unit tables are test oracles only and
+never run here.  log also works one plane at a time and takes every
+azimuthal angle in [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 
 from .algebra_core import (
     AlgebraKind,
     Quad,
     ResultOverflow,
     _domain_split,
-    mul,
+    _Record,
     plane_join,
     plane_split,
     scale,
@@ -45,7 +44,6 @@ __all__ = [
     "cosexp",
     "cosexp_series",
     "exp",
-    "exp_factored",
     "log",
     "pow_real",
     "cos",
@@ -66,12 +64,10 @@ class CosexpFamily(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CosexpKind:
+class CosexpKind(_Record):
     """One of the eight cosexponential functions: family plus index k."""
 
-    family: CosexpFamily
-    k: int
+    __slots__ = ("family", "k")
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, CosexpFamily):
@@ -148,39 +144,6 @@ def cosexp_series(kind: CosexpKind, x: float, terms: int) -> float:
 
 # -- exp -------------------------------------------------------------------
 
-def _exp_unit_factors(u: Quad) -> tuple[Quad, Quad, Quad]:
-    """exp(alpha*y), exp(beta*z), exp(gamma*t) from the closed component forms."""
-    kind = u.kind
-    y, z, t = u.y, u.z, u.t
-    if kind is AlgebraKind.CIRCULAR:
-        return (
-            Quad(kind, math.cos(y), math.sin(y), 0.0, 0.0),
-            Quad(kind, math.cos(z), 0.0, math.sin(z), 0.0),
-            Quad(kind, math.cosh(t), 0.0, 0.0, math.sinh(t)),
-        )
-    if kind is AlgebraKind.HYPERBOLIC:
-        return (
-            Quad(kind, math.cosh(y), math.sinh(y), 0.0, 0.0),
-            Quad(kind, math.cosh(z), 0.0, math.sinh(z), 0.0),
-            Quad(kind, math.cosh(t), 0.0, 0.0, math.sinh(t)),
-        )
-    if kind is AlgebraKind.PLANAR:
-        fy = [cosexp(f4(k), y) for k in range(4)]
-        ft = [cosexp(f4(k), t) for k in range(4)]
-        return (
-            Quad(kind, fy[0], fy[1], fy[2], fy[3]),
-            Quad(kind, math.cos(z), 0.0, math.sin(z), 0.0),
-            Quad(kind, ft[0], ft[3], -ft[2], ft[1]),
-        )
-    gy = [cosexp(g4(k), y) for k in range(4)]
-    gt = [cosexp(g4(k), t) for k in range(4)]
-    return (
-        Quad(kind, gy[0], gy[1], gy[2], gy[3]),
-        Quad(kind, math.cosh(z), 0.0, math.sinh(z), 0.0),
-        Quad(kind, gt[0], gt[3], gt[2], gt[1]),
-    )
-
-
 def _planewise(u: Quad, complex_fn, real_fn) -> Quad:
     """Evaluate an analytic function on each split part of u and join.
 
@@ -215,16 +178,6 @@ def exp(u: Quad) -> Quad:
     the same analytic function with no cancellation.
     """
     return _planewise(u, cmath.exp, math.exp)
-
-
-def exp_factored(u: Quad) -> Quad:
-    """The textbook assembly exp(x)*exp(alpha y)*exp(beta z)*exp(gamma t).
-
-    Identical to :func:`exp` analytically; kept for auditability against
-    the component factorization and used by tests as a cross-check.
-    """
-    ea, eb, eg = _exp_unit_factors(u)
-    return scale(mul(mul(ea, eb), eg), math.exp(u.x))
 
 
 # -- log / powers ------------------------------------------------------------

@@ -15,9 +15,9 @@ forming T * represent(u) * T^-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra_core import _MUL, AlgebraKind, Quad, _flatten, plane_split, units
+from .algebra_core import (_MUL, AlgebraKind, Quad, _flatten, _Record,
+                           plane_split, units)
 
 __all__ = [
     "Matrix4",
@@ -27,11 +27,11 @@ __all__ = [
     "CHANGE_OF_BASIS",
 ]
 
-@dataclass(frozen=True)
-class Matrix4:
+
+class Matrix4(_Record):
     """Row-major 4x4 real matrix."""
 
-    entries: tuple[float, ...]
+    __slots__ = ("entries",)
 
     def __post_init__(self) -> None:
         entries = tuple(float(v) for v in self.entries)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .algebra_core import (
     _IS_PLANE,
@@ -40,6 +39,7 @@ from .algebra_core import (
     Quad,
     QuadfieldError,
     _join,
+    _Record,
     inverse,
     modulus,
     mul,
@@ -78,12 +78,10 @@ class EnumerationBudgetExceeded(QuadfieldError):
     """enumerate_factorizations used up its work budget; message names it."""
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Record):
     """Monic polynomial; coeffs run leading-first (a0=1, ..., am constant)."""
 
-    kind: AlgebraKind
-    coeffs: tuple[Quad, ...]
+    __slots__ = ("kind", "coeffs")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -116,8 +114,7 @@ class Poly:
         return cls(kind, (one,) + tuple(mul(lead_inv, a) for a in coeffs[1:]))
 
 
-@dataclass(frozen=True)
-class ComplexQuad:
+class ComplexQuad(_Record):
     """A root whose canonical line components are complex.
 
     Appears only for hyperbolic/polar polynomials whose real-line
@@ -125,11 +122,7 @@ class ComplexQuad:
     conjugate pairs.
     """
 
-    kind: AlgebraKind
-    x: complex
-    y: complex
-    z: complex
-    t: complex
+    __slots__ = ("kind", "x", "y", "z", "t")
 
     @property
     def components(self) -> tuple[complex, complex, complex, complex]:
@@ -140,12 +133,10 @@ class ComplexQuad:
                            self.z.conjugate(), self.t.conjugate())
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Record):
     """Roots (length = degree) and the max |P(root)| residual."""
 
-    roots: tuple
-    residual: float
+    __slots__ = ("roots", "residual")
 
     @property
     def has_complex_roots(self) -> bool:

@@ -54,5 +54,10 @@ def random_quad(kind: AlgebraKind, rng: random.Random, span: float = 2.0) -> Qua
     return Quad(kind, *[rng.uniform(-span, span) for _ in range(4)])
 
 
+def record_fields(record) -> tuple:
+    """A record's field values in ``__match_args__`` order."""
+    return tuple(getattr(record, name) for name in record.__match_args__)
+
+
 def close(a: float, b: float, tol: float) -> bool:
     return math.isfinite(a) and abs(a - b) <= tol

@@ -1,6 +1,5 @@
 """Decoupling coordinates, idempotent bases, exponential/trig forms."""
 
-import dataclasses
 import math
 import random
 
@@ -38,6 +37,7 @@ from conftest import (
     max_abs_diff,
     quads,
     random_quad,
+    record_fields,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -75,7 +75,7 @@ class TestCoordinateMaps:
         rng = random.Random(1)
         for _ in range(300):
             u = random_quad(kind, rng)
-            got = dataclasses.astuple(to_canonical(u))
+            got = record_fields(to_canonical(u))
             want = to_canonical_oracle(u)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
 

@@ -90,6 +90,7 @@ class TestImportFootprint:
         loaded = set(json.loads(cp.stdout))
         assert ({m for m in loaded if m.startswith("quadfield")}
                 == _CORE | {f"quadfield.{module}"})
+        assert "dataclasses" not in loaded
 
     # argv of one valid command, and the modules it needs beyond the core
     COMMANDS = [
@@ -121,8 +122,7 @@ class TestImportFootprint:
         assert code == 0
         want = _CORE | {"quadfield.cli"} | {f"quadfield.{m}" for m in modules}
         assert {m for m in loaded if m.startswith("quadfield")} == want
-        if argv[0] == "eval":
-            assert "dataclasses" not in loaded
+        assert "dataclasses" not in loaded
 
 
 class TestEval:

@@ -41,6 +41,7 @@ from conftest import (
     random_quad,
     rel_diff,
 )
+from exp_factored_oracle import exp_factored
 from fold_oracle import fold_cos_sin, fold_cosh_sinh
 
 TWO_PI = 2.0 * math.pi
@@ -294,7 +295,6 @@ class TestExp:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_factored_assembly(self, kind):
-        from quadfield import exp_factored
         rng = random.Random(43)
         for _ in range(100):
             u = random_quad(kind, rng, span=1.0)

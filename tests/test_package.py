@@ -35,12 +35,12 @@ SingularValue SingularityReport TrigForm WindingQuery add amplitude
 block_diagonalize canonical_mul check_analytic check_second_order
 convergence_bounds cos cosexp cosexp_series cosh determinant
 enumerate_factorizations eval_poly eval_series eval_series_canonical exp
-exp_factored exp_form expform_from_dict expform_to_dict f4 factor
-from_canonical from_exp_form from_trig_form g4 integrate_loop inverse
-log modulus mul neg one pair_conjugates plane_join plane_split pow_int
-pow_real quad_from_dict quad_from_json quad_to_dict quad_to_json
-quadratic_factor reconstruct represent residue_prediction scale sin
-singularity sinh sub to_canonical trig_form units winding zero
+exp_form expform_from_dict expform_to_dict f4 factor from_canonical
+from_exp_form from_trig_form g4 integrate_loop inverse log modulus mul
+neg one pair_conjugates plane_join plane_split pow_int pow_real
+quad_from_dict quad_from_json quad_to_dict quad_to_json quadratic_factor
+reconstruct represent residue_prediction scale sin singularity sinh sub
+to_canonical trig_form units winding zero
 """.split()
 
 

@@ -74,6 +74,8 @@ class SeriesSpec(_Record):
     __slots__ = ("kind", "coeffs")
 
     def __post_init__(self) -> None:
+        if self.kind.__class__ is not AlgebraKind:
+            raise TypeError(f"kind must be AlgebraKind, got {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise ValueError("series needs at least one coefficient")

@@ -203,6 +203,8 @@ class ExpForm(_Record):
     _optional = 10
 
     def __post_init__(self) -> None:
+        if self.kind.__class__ is not AlgebraKind:
+            raise TypeError(f"kind must be AlgebraKind, got {self.kind!r}")
         for name in _EXPFORM_FIELDS[self.kind]:
             if getattr(self, name) is None:
                 raise ValueError(f"{self.kind} exp form requires field {name}")

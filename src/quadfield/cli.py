@@ -18,6 +18,7 @@ import os
 import sys
 
 from .algebra_core import (
+    _NODAL_SETS,
     DEFAULT_TOL,
     AlgebraKind,
     Quad,
@@ -195,6 +196,7 @@ def _cmd_factor(args) -> str:
         "kind": kind.value,
         "residual": f.residual,
         "roots": [_root_json(r) for r in f.roots],
+        "multiplicities": dict(zip(_NODAL_SETS[kind], f.multiplicities)),
         "factors": _render_factors(f, kind, args.digits),
     }
     if args.enumerate is not None:

@@ -2,17 +2,17 @@
 
 Factoring works one decoupled component at a time: the coefficients are
 projected into each plane/line, every component polynomial is solved in
-the complex plane by a deterministic simultaneous (Durand-Kerner style)
-iteration, and the per-component roots are zipped back into 4-component
-roots.  Because each projection is a ring homomorphism, any zipping of
-the component roots reproduces the polynomial, which is why a degree-m
-polynomial factors in many distinct ways; `enumerate_factorizations`
-walks them.  It keeps the pairings whose root multiset is closed under
-conjugation, searching depth first over the component orders and cutting
-every prefix whose projected roots cannot be closed.  The cut only drops
-pairings that the final check would reject, so the results are those of a
-walk over every pairing.  A fixed work budget bounds the search; past
-it, `EnumerationBudgetExceeded` is raised.
+the complex plane by Aberth-Ehrlich iteration with a backward-error stop,
+repeated roots found as clusters, and the per-component roots are zipped
+back into 4-component roots.  Because each projection is a ring
+homomorphism, any zipping of the component roots reproduces the
+polynomial, which is why a degree-m polynomial factors in many distinct
+ways; `enumerate_factorizations` walks them.  It keeps the pairings whose
+root multiset is closed under conjugation, searching depth first over the
+component orders and cutting every prefix whose projected roots cannot be
+closed.  The cut only drops pairings that the final check would reject,
+so the results are those of a walk over every pairing.  A fixed work
+budget bounds the search; past it, `EnumerationBudgetExceeded` is raised.
 
 Components along the real lines (all four hyperbolic lines, the polar
 v+ and v- lines) can have complex roots.  Such roots have no real Quad
@@ -59,8 +59,10 @@ __all__ = [
     "pair_conjugates",
 ]
 
-_DK_TOL = 1e-12
-_DK_CAP = 500
+# Root finding: the sweep cap, c*eps of the stop, start directions per degree.
+_SWEEP_CAP = 500
+_STOP = 4.0 * 2.0 ** -52
+_DIRECTIONS: dict[int, list[complex]] = {}
 _REAL_SNAP = 1e-8
 # Enumeration: the work budget in visits, the prefix test's relative
 # tolerance (see enumerate_factorizations) and the root size above which
@@ -71,7 +73,7 @@ _PRUNE_LIMIT = 1e300
 
 
 class NoConvergence(QuadfieldError):
-    """Root iteration exceeded its cap; message names the component's nodal set."""
+    """Root finding hit its cap or overflowed; message names its nodal set."""
 
 
 class EnumerationBudgetExceeded(QuadfieldError):
@@ -84,6 +86,8 @@ class Poly(_Record):
     __slots__ = ("kind", "coeffs")
 
     def __post_init__(self) -> None:
+        if self.kind.__class__ is not AlgebraKind:
+            raise TypeError(f"kind must be AlgebraKind, got {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise ValueError("polynomial needs at least one coefficient")
@@ -134,9 +138,11 @@ class ComplexQuad(_Record):
 
 
 class Factorization(_Record):
-    """Roots (length = degree) and the max |P(root)| residual."""
+    """Roots (length = degree), the max |P(root)| residual and, from
+    `factor`, the multiplicities (None from enumerate_factorizations)."""
 
-    __slots__ = ("roots", "residual")
+    __slots__ = ("roots", "residual", "multiplicities")
+    _optional = 1
 
     @property
     def has_complex_roots(self) -> bool:
@@ -162,39 +168,89 @@ def _horner_c(coeffs: list[complex], z: complex) -> complex:
     return acc
 
 
-def _durand_kerner(coeffs: list[complex], name: str) -> list[complex]:
-    """All roots of a monic complex polynomial, deterministically.
+def _aberth(coeffs: list[complex], name: str) -> list[complex]:
+    """All roots of a monic complex polynomial, a root of multiplicity k
+    as k equal entries.
 
-    Simultaneous iteration from the classic geometric starting points
-    (0.4+0.9i)^k; in-place updates, cap 500 sweeps, convergence when the
-    largest correction drops below 1e-12.  Raises NoConvergence past the
-    cap or as soon as an iterate is not finite.
+    Aberth-Ehrlich iteration (Bini, Numer. Algorithms 13, 1996) from m
+    points on the circle of radius max |a_k|^(1/k); trailing zero
+    coefficients are exact roots at 0.  An iterate takes its correction
+    and is frozen once |p(z)| <= 4 m eps sum |a_k| |z|^k.  Overlapping
+    freeze-time inclusion disks (radius m |p/p'|) form clusters; a k-root
+    cluster's mean, after k Newton steps on p^(k-1), replaces its roots.
+    NoConvergence: past the sweep cap, or a non-finite bound or iterate.
     """
     m = len(coeffs) - 1
-    if m == 0:
-        return []
-    z = [(0.4 + 0.9j) ** (k + 1) for k in range(m)]
-    for _ in range(_DK_CAP):
-        delta = 0.0
-        for i in range(m):
+    while m and coeffs[m] == 0:
+        m -= 1
+    zeros, coeffs = len(coeffs) - 1 - m, coeffs[:m + 1]
+    dirs = _DIRECTIONS.get(m) or _DIRECTIONS.setdefault(m, [
+        1j ** (4 * k / m + 0.25) for k in range(m)])  # at 2 pi k/m + pi/8
+    tail = list(zip(coeffs[1:], map(abs, coeffs[1:])))
+    r = max((b ** (1 / k) for k, (_, b) in enumerate(tail, 1)), default=0)
+    z = [r * d for d in dirs]
+    tol = _STOP * m
+    centre, radius = [0j] * m, [0.0] * m
+    active = range(m)
+    for _ in range(_SWEEP_CAP):
+        still = []
+        for i in active:
             zi = z[i]
-            num = _horner_c(coeffs, zi)
-            den = 1.0 + 0.0j
-            for j in range(m):
-                if j != i:
-                    den *= zi - z[j]
-            if den == 0.0:
-                den = complex(_DK_TOL, 0.0)
-            step = num / den
-            z[i] = zi = zi - step
-            if zi - zi:   # nonzero only for inf or NaN, as from a non-finite step
+            az = abs(zi)
+            p, dp, bound = 1.0 + 0j, 0j, 1.0
+            for a, b in tail:
+                dp = dp * zi + p
+                p = p * zi + a
+                bound = bound * az + b
+            try:
+                sigma = 0j
+                for w in z:
+                    if w is not zi:
+                        sigma += 1.0 / (zi - w)
+                step = p / (dp - p * sigma)
+            except ZeroDivisionError:   # coincident iterates: the step's limit
+                step = 0j
+            z[i] = zn = zi - step
+            if bound - bound or zn - zn:   # inf or NaN, as from any p
                 raise NoConvergence(f"root finder left the double range on "
                                     f"the {name} component")
-            delta = max(delta, abs(step))
-        if delta < _DK_TOL:
-            return z
-    raise NoConvergence(f"root finder exceeded {_DK_CAP} iterations on the "
-                        f"{name} component")
+            if abs(p) > tol * bound:
+                still.append(i)
+            else:   # an exact critical point (p' = 0) gets a point disk
+                centre[i], radius[i] = zi, m * abs(p) / abs(dp) if dp else 0.0
+        active = still
+        if not active:
+            break
+    else:
+        raise NoConvergence(f"root finder exceeded {_SWEEP_CAP} sweeps on "
+                            f"the {name} component")
+    for group in _clusters(centre, radius):
+        k = len(group)
+        w = sum(z[i] for i in group) / k
+        q = [a * math.perm(m - j, k - 1)
+             for j, a in enumerate(coeffs[:m - k + 2])]
+        dq = [a * (m - k + 1 - j) for j, a in enumerate(q[:-1])]
+        for _ in range(k):   # Newton on p^(k-1), whose root here is simple
+            slope = _horner_c(dq, w)
+            w -= _horner_c(q, w) / slope if slope else 0.0
+        for i in group:
+            z[i] = w
+    return z + [0j] * zeros
+
+
+def _clusters(centre: list[complex], radius: list[float]) -> list[list[int]]:
+    """Index groups of two or more disks joined by overlaps; one sort rules
+    them out when the centres' real parts are over twice any radius apart."""
+    reach = 2.0 * max(radius, default=0.0)
+    xs = sorted(c.real for c in centre)
+    if all(b - a > reach for a, b in zip(xs, xs[1:])):
+        return []
+    groups: list[list[int]] = []
+    for i, (c, r) in enumerate(zip(centre, radius)):
+        hit = [g for g in groups
+               if any(abs(c - centre[j]) <= r + radius[j] for j in g)]
+        groups = [g for g in groups if g not in hit] + [[i] + sum(hit, [])]
+    return [g for g in groups if len(g) > 1]
 
 
 def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
@@ -243,12 +299,13 @@ def _component_coeffs(p: Poly) -> list[list[complex]]:
     return [list(map(complex, col)) for col in zip(*map(plane_split, p.coeffs))]
 
 
-def _component_root_lists(p: Poly) -> list[list[complex]]:
-    """Sorted per-component roots of the projected polynomials."""
+def _component_root_lists(p: Poly, comp_coeffs) -> list[list[complex]]:
+    """Sorted roots of each component polynomial (`_component_coeffs(p)`);
+    a k-fold root appears as k equal entries."""
     lists: list[list[complex]] = []
     for name, plane, coeffs in zip(_NODAL_SETS[p.kind], _IS_PLANE[p.kind],
-                                   _component_coeffs(p)):
-        roots = _durand_kerner(coeffs, name)
+                                   comp_coeffs):
+        roots = _aberth(coeffs, name)
         if not plane:
             roots = _symmetrize_conjugates(roots)
         roots.sort(key=lambda z: (z.real, z.imag))
@@ -256,34 +313,39 @@ def _component_root_lists(p: Poly) -> list[list[complex]]:
     return lists
 
 
-def _assemble(p: Poly, component_orders: tuple[tuple[complex, ...], ...]):
+def _assemble(p: Poly, component_orders: tuple[tuple[complex, ...], ...],
+              comp_coeffs, multiplicities=None):
     """Zip the per-component root orders into roots plus their residual.
 
-    The residual is |P(root)|: each component polynomial is evaluated at
-    its component root, and the values are joined once.
+    The residual is |P(root)|: each component polynomial (`comp_coeffs`)
+    is evaluated at its component root, and the values are joined once.
     """
     kind = p.kind
-    comp_coeffs = _component_coeffs(p)
     roots = []
     residual = 0.0
     for parts in zip(*component_orders):
         values = _join(kind, tuple(_horner_c(c, z)
                                    for c, z in zip(comp_coeffs, parts)))
-        residual = max(residual, math.sqrt(sum(abs(v) ** 2 for v in values)))
+        residual = max(residual, math.hypot(*map(abs, values)))
         roots.append(_as_root(kind, _join(kind, parts)))
-    return Factorization(roots=tuple(roots), residual=residual)
+    return Factorization(tuple(roots), residual, multiplicities)
 
 
 def factor(p: Poly) -> Factorization:
     """Canonical factorization: component roots sorted by (re, im), zipped.
 
+    `multiplicities` holds, per component in `_NODAL_SETS` order, the
+    multiplicity of each component root; a k-fold root appears k times.
+
     Raises:
-        NoConvergence: the iteration stalled on some component.
+        NoConvergence: the iteration stalled or overflowed on some component.
     """
     if p.degree < 1:
         raise ValueError("factorization needs degree >= 1")
-    lists = _component_root_lists(p)
-    return _assemble(p, tuple(tuple(lst) for lst in lists))
+    comp_coeffs = _component_coeffs(p)
+    lists = _component_root_lists(p, comp_coeffs)
+    return _assemble(p, tuple(map(tuple, lists)), comp_coeffs,
+                     tuple(tuple(map(lst.count, lst)) for lst in lists))
 
 
 def _closed_key(roots):
@@ -417,7 +479,8 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap!r}")
-    lists = _component_root_lists(p)
+    comp_coeffs = _component_coeffs(p)
+    lists = _component_root_lists(p, comp_coeffs)
     m = p.degree
     full = (1 << m) - 1
     scale = max((abs(v) for lst in lists for v in lst), default=0.0)
@@ -456,7 +519,8 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
                 continue
             visit()
             fact = _assemble(p, tuple(tuple(lst[i] for i in order)
-                                      for lst, order in zip(lists, chosen)))
+                                      for lst, order in zip(lists, chosen)),
+                             comp_coeffs)
             key = _closed_key(fact.roots)
             if key is None or key in seen:
                 continue

@@ -11,7 +11,8 @@ a degree-m polynomial with k components, so keep the degrees small.
 
 import itertools
 
-from quadfield.polynomial import _assemble, _component_root_lists
+from quadfield.polynomial import (_assemble, _component_coeffs,
+                                  _component_root_lists)
 
 
 def _conjugate_closed(roots) -> bool:
@@ -37,13 +38,14 @@ def enumerate_factorizations(p, cap=100):
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap!r}")
-    lists = _component_root_lists(p)
+    comp_coeffs = _component_coeffs(p)
+    lists = _component_root_lists(p, comp_coeffs)
     first = tuple(lists[0])
     seen: set = set()
     out = []
     rest = [itertools.permutations(lst) for lst in lists[1:]]
     for orders in itertools.product(*rest):
-        fact = _assemble(p, (first,) + tuple(orders))
+        fact = _assemble(p, (first,) + tuple(orders), comp_coeffs)
         if not _conjugate_closed(fact.roots):
             continue
         key = tuple(sorted(

@@ -326,11 +326,20 @@ class TestFactor:
         assert len(payload["factorizations"]) == 8
 
     def test_overflowing_root_iteration_is_a_json_error(self, capsys):
-        coeffs = [[1, 0, 0, 0]] + [[1e80, 3e79, -1e79, 0]] * 4
+        coeffs = [[1, 0, 0, 0]] + [[1e120, 3e119, -1e119, 0]] * 4
         code, out, _ = run_main(capsys, "factor", "--kind", "hyperbolic",
                                 "--coeffs", json.dumps(coeffs))
         assert code == 2
         assert json.loads(out)["error"] == "NoConvergence"
+
+    def test_triple_root_prints_its_multiplicity(self, capsys):
+        code, out, _ = run_main(capsys, "factor", "--kind", "polar",
+                                "--coeffs", "[1, -3, 3, -1]")
+        assert code == 0
+        payload = json.loads(out)
+        assert [r["components"] for r in payload["roots"]] == [[1, 0, 0, 0]] * 3
+        assert payload["multiplicities"] == {
+            "v_plus": [3, 3, 3], "v_minus": [3, 3, 3], "mu_plus": [3, 3, 3]}
 
     def test_planar_quadratic_roots(self, capsys):
         code, out, _ = run_main(capsys, "factor", "--kind", "planar",

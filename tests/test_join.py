@@ -103,7 +103,8 @@ def test_factor_roots_and_residual_match_the_former_assembly(kind, data):
         got = factor(p)
     except NoConvergence:
         assume(False)
-    lists = polynomial._component_root_lists(p)
+    lists = polynomial._component_root_lists(
+        p, polynomial._component_coeffs(p))
     comps = [O._join_components(kind, tuple(lst[i] for lst in lists))
              for i in range(p.degree)]
     assert got.roots == tuple(polynomial._as_root(kind, c) for c in comps)
@@ -121,17 +122,37 @@ def test_residual_at_any_point_matches_the_former_assembly(kind, data):
     point = st.tuples(*[st.complex_numbers(max_magnitude=2.0)
                         for _ in _IS_PLANE[kind]])
     parts = data.draw(st.lists(point, min_size=p.degree, max_size=p.degree))
-    got = polynomial._assemble(p, tuple(zip(*parts)))
+    got = polynomial._assemble(p, tuple(zip(*parts)),
+                               polynomial._component_coeffs(p))
     comps = [O._join_components(kind, q) for q in parts]
     assert got.roots == tuple(polynomial._as_root(kind, c) for c in comps)
     old = max(O._eval_complexified(p, c, kind) for c in comps)
     assert abs(got.residual - old) <= residual_bound(p, got.roots)
 
 
+def binomial_power(kind, k, root=1.0):
+    """(u - root)^k: a root of multiplicity k on every component."""
+    return Poly(kind, tuple(scale(one(kind), math.comb(k, j) * (-root) ** j)
+                            for j in range(k + 1)))
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_no_convergence_names_a_nodal_set(kind):
-    # (u - 1)^3 = u^3 - 3u^2 + 3u - 1: a triple root on every component
-    p = Poly(kind, tuple(scale(one(kind), c) for c in (1.0, -3.0, 3.0, -1.0)))
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("root", [1.0, 0.0])
+def test_repeated_root_factors_with_its_multiplicity(kind, k, root):
+    got = factor(binomial_power(kind, k, root))
+    assert len(got.roots) == k
+    for r in got.roots:
+        assert max(abs(c - w) for c, w in
+                   zip(r.components, (root, 0.0, 0.0, 0.0))) <= 1e-12
+    assert got.multiplicities == ((k,) * k,) * len(_NODAL_SETS[kind])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_convergence_names_a_nodal_set(kind, monkeypatch):
+    # Two sweeps cannot resolve the triple root of (u - 1)^3.
+    monkeypatch.setattr(polynomial, "_SWEEP_CAP", 2)
     names = "|".join(map(re.escape, _NODAL_SETS[kind]))
-    with pytest.raises(NoConvergence, match=f"on the ({names}) component$"):
-        factor(p)
+    with pytest.raises(NoConvergence,
+                       match=f"exceeded 2 sweeps on the ({names}) component$"):
+        factor(binomial_power(kind, 3))

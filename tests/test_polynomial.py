@@ -30,6 +30,7 @@ from quadfield import (
     zero,
 )
 from quadfield import polynomial
+from quadfield.algebra_core import _IS_PLANE
 
 from conftest import KINDS, max_abs_diff, quads, random_quad
 
@@ -145,14 +146,30 @@ class TestFactorWorkedExamples:
         assert issubclass(NoConvergence, QuadfieldError)
 
     @pytest.mark.parametrize("kind,component", [
-        (AlgebraKind.HYPERBOLIC, "s"), (AlgebraKind.CIRCULAR, "rho_plus")])
+        (AlgebraKind.HYPERBOLIC, "s"), (AlgebraKind.CIRCULAR, "rho_plus"),
+        (AlgebraKind.PLANAR, "rho_plus"), (AlgebraKind.POLAR, "v_plus")])
     def test_non_finite_iterate_raises(self, kind, component):
-        # The iterates overflow on coefficients near 1e80; a NaN iterate
-        # must not pass for convergence.
-        p = Poly(kind, (one(kind),) + (Quad(kind, 1e80, 3e79, -1e79, 0.0),) * 4)
+        # The root near -1e120 overflows the backward-error bound
+        # sum |a_k| |z|^k; an infinite bound must not pass for convergence.
+        p = Poly(kind, (one(kind),) + (Quad(kind, 1e120, 3e119, -1e119, 0.0),) * 4)
         with pytest.raises(NoConvergence,
                            match=f"double range on the {component} component"):
             factor(p)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_huge_coefficients_finite_roots_or_typed_error(self, kind, data):
+        big = st.floats(min_value=-1e300, max_value=1e300,
+                        allow_nan=False, allow_infinity=False)
+        degree = data.draw(st.integers(1, 6))
+        p = Poly(kind, (one(kind),) + tuple(
+            data.draw(quads(kind, big)) for _ in range(degree)))
+        try:
+            f = factor(p)
+        except QuadfieldError:
+            return
+        assert all(cmath.isfinite(c) for r in f.roots for c in r.components)
 
 
 class TestEnumerate:
@@ -248,6 +265,23 @@ class TestRandomRoundTrip:
             assert coeffs_close(reconstruct(f, kind), p, 1e-7)
             for r in f.roots:
                 assert max_abs_diff(r, one(kind)) < 1e-5
+
+    @pytest.mark.parametrize("kind", [AlgebraKind.HYPERBOLIC,
+                                      AlgebraKind.POLAR])
+    def test_close_distinct_roots(self, kind):
+        # Distinct planted roots drawn uniformly (lines in [-1.5, 1.5],
+        # planes in the disk of radius 1.5) can lie close together on a
+        # line, where a stop on an absolute step size stalls: Durand-Kerner
+        # with one hit its cap on 14 (hyperbolic) and 8 (polar) of these.
+        rng = random.Random(7)
+        for _ in range(200):
+            roots = [plane_join(kind, tuple(
+                cmath.rect(1.5 * math.sqrt(rng.random()),
+                           rng.uniform(0.0, 2.0 * math.pi)) if plane
+                else rng.uniform(-1.5, 1.5) for plane in _IS_PLANE[kind]))
+                for _ in range(6)]
+            p = reconstruct(Factorization(tuple(roots), 0.0), kind)
+            assert coeffs_close(reconstruct(factor(p), kind), p, 1e-9)
 
 
 class TestConjugatePairs:

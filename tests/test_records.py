@@ -108,9 +108,9 @@ PINNED = [
      "ComplexQuad(kind=<AlgebraKind.HYPERBOLIC: 'hyperbolic'>, x=1j, y=0j, "
      "z=0j, t=0j)",
      ("kind", "x", "y", "z", "t")),
-    (Factorization((), 0.0),
-     "Factorization(roots=(), residual=0.0)",
-     ("roots", "residual")),
+    (Factorization((), 0.0, ((), ())),
+     "Factorization(roots=(), residual=0.0, multiplicities=((), ()))",
+     ("roots", "residual", "multiplicities")),
     (Amplitude(16.0, 2.0),
      "Amplitude(nu=16.0, rho=2.0)",
      ("nu", "rho")),
@@ -211,3 +211,14 @@ def test_missing_or_unknown_argument_is_type_error(records):
         cls(*values, None)
     with pytest.raises(TypeError):
         cls(*values, **{cls.__match_args__[0]: values[0]})
+
+
+@pytest.mark.parametrize("build", [
+    lambda kind: ExpForm(kind, rho=1.0, phi=0.0, chi=0.0, psi=0.5),
+    lambda kind: Poly(kind, (one(C),)),
+    lambda kind: SeriesSpec(kind, (one(C),)),
+], ids=["ExpForm", "Poly", "SeriesSpec"])
+def test_a_kind_that_is_not_an_algebra_kind_is_type_error(build):
+    build(C)
+    with pytest.raises(TypeError, match="must be AlgebraKind, got 'circular'"):
+        build("circular")

@@ -1,15 +1,14 @@
 """Arithmetic kernels for the four algebras.
 
 ``algebra_core`` dispatches to these functions by kind.  They take plain
-numbers and never check types, so ``polynomial.reconstruct`` and
-``polynomial.quadratic_factor`` run the same products on complexified
-components.
+numbers and never check types, so ``polynomial`` runs the same products
+and joins on complexified components.  No validation happens here;
+callers are responsible for kind dispatch and singularity checks.
 
-Products and amplitude quartics are plain component formulas — one line
-per output component — so each can be audited term by term; inverses
-split into the kind's lines and planes, take reciprocals and join back.
-No validation happens here; callers are responsible for kind dispatch
-and singularity checks.
+Per kind, only the unit products ``mul_<kind>`` and the change of
+coordinates ``split_<kind>``/``join_<kind>`` are written out.  The
+inverse ``inv_<kind>`` and the amplitude quartic ``quartic_<kind>`` are
+read off the split by one shared helper each.
 """
 
 _SQRT2 = 2.0 ** 0.5
@@ -56,90 +55,98 @@ def mul_polar(x1, y1, z1, t1, x2, y2, z2, t2):
     )
 
 
-# -- amplitude quartics (rho^4 or nu) -----------------------------------
-# Evaluated in factored form (product over the nodal-set residuals); the
-# factored form is exact where the expanded quartic cancels catastrophically
-# near a nodal set.
+# -- the change of coordinates ------------------------------------------
+# split_<kind> maps the components onto the kind's real lines and complex
+# planes, each map a unital ring homomorphism; join_<kind> maps the parts
+# back.  A join takes complex line entries too (a line polynomial's
+# complex roots); their imaginary parts then pass into the components.
 
-def quartic_circular(x, y, z, t):
-    rp2 = (x + t) * (x + t) + (y + z) * (y + z)
-    rm2 = (x - t) * (x - t) + (y - z) * (y - z)
-    return rp2 * rm2
-
-
-def quartic_hyperbolic(x, y, z, t):
-    return (x + y + z + t) * (x - y + z - t) * (x + y - z - t) * (x - y - z + t)
+def split_circular(x, y, z, t):
+    return (complex(x + t, y + z), complex(x - t, y - z))
 
 
-def quartic_planar(x, y, z, t):
+def join_circular(w1, w2):
+    return ((w1.real + w2.real) / 2.0, (w1.imag + w2.imag) / 2.0,
+            (w1.imag - w2.imag) / 2.0, (w1.real - w2.real) / 2.0)
+
+
+def split_hyperbolic(x, y, z, t):
+    return (x + y + z + t, x - y + z - t, x + y - z - t, x - y - z + t)
+
+
+def join_hyperbolic(s, sp, spp, sppp):
+    return ((s + sp + spp + sppp) / 4.0, (s - sp + spp - sppp) / 4.0,
+            (s + sp - spp - sppp) / 4.0, (s - sp - spp + sppp) / 4.0)
+
+
+def split_planar(x, y, z, t):
     a = (y - t) / _SQRT2
     b = (y + t) / _SQRT2
-    rp2 = (x + a) * (x + a) + (z + b) * (z + b)
-    rm2 = (x - a) * (x - a) + (z - b) * (z - b)
-    return rp2 * rm2
+    return (complex(x + a, z + b), complex(x - a, -z + b))
 
 
-def quartic_polar(x, y, z, t):
-    mu2 = (x - z) * (x - z) + (y - t) * (y - t)
-    return (x + y + z + t) * (x - y + z - t) * mu2
+def join_planar(w1, w2):
+    ymt = (w1.real - w2.real) / _SQRT2
+    ypt = (w1.imag + w2.imag) / _SQRT2
+    return ((w1.real + w2.real) / 2.0, (ymt + ypt) / 2.0,
+            (w1.imag - w2.imag) / 2.0, (ypt - ymt) / 2.0)
 
 
-# -- inverses -------------------------------------------------------------
-# Split into the kind's real lines and complex planes, take each part's
-# reciprocal, 1/(a + ib) = (a - ib)/(a^2 + b^2), and join back.  Per-part
-# reciprocals stay accurate near the nodal sets, where the expanded cubic
-# adjugate formulas cancel.
-
-def inv_circular(x, y, z, t):
-    a1 = x + t
-    b1 = y + z
-    a2 = x - t
-    b2 = y - z
-    n1 = a1 * a1 + b1 * b1
-    n2 = a2 * a2 + b2 * b2
-    a1 = a1 / n1
-    b1 = -b1 / n1
-    a2 = a2 / n2
-    b2 = -b2 / n2
-    return ((a1 + a2) / 2.0, (b1 + b2) / 2.0,
-            (b1 - b2) / 2.0, (a1 - a2) / 2.0)
+def split_polar(x, y, z, t):
+    return (x + y + z + t, x - y + z - t, complex(x - z, y - t))
 
 
-def inv_hyperbolic(x, y, z, t):
-    s0 = 1.0 / (x + y + z + t)
-    s1 = 1.0 / (x - y + z - t)
-    s2 = 1.0 / (x + y - z - t)
-    s3 = 1.0 / (x - y - z + t)
-    return ((s0 + s1 + s2 + s3) / 4.0, (s0 - s1 + s2 - s3) / 4.0,
-            (s0 + s1 - s2 - s3) / 4.0, (s0 - s1 - s2 + s3) / 4.0)
+def join_polar(vp, vm, w1):
+    return (vp / 4.0 + vm / 4.0 + w1.real / 2.0,
+            vp / 4.0 - vm / 4.0 + w1.imag / 2.0,
+            vp / 4.0 + vm / 4.0 - w1.real / 2.0,
+            vp / 4.0 - vm / 4.0 - w1.imag / 2.0)
 
 
-def inv_planar(x, y, z, t):
-    a = (y - t) / _SQRT2
-    b = (y + t) / _SQRT2
-    a1 = x + a
-    b1 = z + b
-    a2 = x - a
-    b2 = -z + b
-    n1 = a1 * a1 + b1 * b1
-    n2 = a2 * a2 + b2 * b2
-    a1 = a1 / n1
-    b1 = -b1 / n1
-    a2 = a2 / n2
-    b2 = -b2 / n2
-    ymt = (a1 - a2) / _SQRT2
-    ypt = (b1 + b2) / _SQRT2
-    return ((a1 + a2) / 2.0, (ymt + ypt) / 2.0,
-            (b1 - b2) / 2.0, (ypt - ymt) / 2.0)
+# -- read off the split ---------------------------------------------------
+# The inverse is the join of the parts' reciprocals, and the amplitude
+# quartic (rho^4 or nu) the product of the line values and the planes'
+# squared moduli.  Per part, both stay accurate near the nodal sets, where
+# the expanded quartic and the cubic adjugate formulas cancel.
+
+def reciprocals(parts):
+    """Per part: 1/s on a line, (a - ib)/(a^2 + b^2) on a plane a + ib."""
+    out = []
+    for p in parts:
+        if p.__class__ is complex:
+            a = p.real
+            b = p.imag
+            n = a * a + b * b
+            out.append(complex(a / n, -b / n))
+        else:
+            out.append(1.0 / p)
+    return out
 
 
-def inv_polar(x, y, z, t):
-    vp = 1.0 / (x + y + z + t)
-    vm = 1.0 / (x - y + z - t)
-    a = x - z
-    b = y - t
-    n = a * a + b * b
-    a = a / n
-    b = -b / n
-    return (vp / 4.0 + vm / 4.0 + a / 2.0, vp / 4.0 - vm / 4.0 + b / 2.0,
-            vp / 4.0 + vm / 4.0 - a / 2.0, vp / 4.0 - vm / 4.0 - b / 2.0)
+def quartic(parts):
+    """Left-to-right product of the line values and the planes' a^2 + b^2."""
+    q = 1.0
+    for p in parts:
+        q *= p.real * p.real + p.imag * p.imag if p.__class__ is complex else p
+    return q
+
+
+def _read_off(kind, split, join):
+    """The kind's inverse and quartic kernels, read off its split and join."""
+    def inv(x, y, z, t):
+        return join(*reciprocals(split(x, y, z, t)))
+
+    def quartic_(x, y, z, t):
+        return quartic(split(x, y, z, t))
+
+    inv.__name__ = inv.__qualname__ = f"inv_{kind}"
+    quartic_.__name__ = quartic_.__qualname__ = f"quartic_{kind}"
+    return inv, quartic_
+
+
+inv_circular, quartic_circular = _read_off(
+    "circular", split_circular, join_circular)
+inv_hyperbolic, quartic_hyperbolic = _read_off(
+    "hyperbolic", split_hyperbolic, join_hyperbolic)
+inv_planar, quartic_planar = _read_off("planar", split_planar, join_planar)
+inv_polar, quartic_polar = _read_off("polar", split_polar, join_polar)

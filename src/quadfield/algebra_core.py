@@ -16,18 +16,22 @@ the distance to those sets; ``inverse`` refuses to divide near them.
 
 ``plane_split`` maps each algebra onto its real lines and complex planes
 (each map a unital ring homomorphism) and ``plane_join`` maps back; the
-nodal residuals are the moduli of the split parts.  ``Quad`` is a frozen
-``__slots__`` class whose ``__init__`` runs ``__post_init__`` (kind check,
-float coercion, one NaN/inf test) exactly once.  ``_Record`` is the one
+nodal residuals are the moduli of the split parts, ``inverse`` joins the
+parts' reciprocals and ``amplitude`` multiplies the parts, each plane by
+its squared modulus.  ``Quad`` is a frozen ``__slots__`` class whose
+``__init__`` runs ``__post_init__`` (kind check, float coercion, one
+NaN/inf test) exactly once.  ``_Record`` is the one
 base of every other record type in the package (``Amplitude`` and
 ``SingularityReport`` here, the forms, loops, matrices and polynomials in
 the other modules): a frozen ``__slots__`` class with a frozen
 dataclass's behaviour, so no module of the package imports
 ``dataclasses``.
 
-The kernels — products, amplitude quartics, and inverses as per-plane
-reciprocals joined back — live in ``quadfield._kernels_py``; ``BACKEND``
-names it and is always ``"python"``.
+The formulas — per kind the unit products and the split and join, and
+the inverse and amplitude quartic read off the split — live in
+``quadfield._kernels_py``, and every operation here dispatches through
+one kind -> kernel table (``_MUL``, ``_SPLIT``, ``_JOIN``, ``_QUARTIC``);
+``BACKEND`` names that module and is always ``"python"``.
 """
 
 from __future__ import annotations
@@ -74,8 +78,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 
-_SQRT2 = math.sqrt(2.0)
-
 
 class QuadfieldError(Exception):
     """Base class for the library's domain errors."""
@@ -108,14 +110,6 @@ class AlgebraKind(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-# Module-level names for the members, for the per-value dispatch chains:
-# attribute lookup on an Enum class runs EnumType's __getattr__ hook and
-# costs about ten global lookups.
-_CIRCULAR = AlgebraKind.CIRCULAR
-_HYPERBOLIC = AlgebraKind.HYPERBOLIC
-_PLANAR = AlgebraKind.PLANAR
 
 
 class Quad:
@@ -306,26 +300,10 @@ class SingularityReport(_Record):
     __slots__ = ("singular", "nodal_sets", "margin")
 
 
-_MUL = {
-    AlgebraKind.CIRCULAR: _impl.mul_circular,
-    AlgebraKind.HYPERBOLIC: _impl.mul_hyperbolic,
-    AlgebraKind.PLANAR: _impl.mul_planar,
-    AlgebraKind.POLAR: _impl.mul_polar,
-}
-
-_INV = {
-    AlgebraKind.CIRCULAR: _impl.inv_circular,
-    AlgebraKind.HYPERBOLIC: _impl.inv_hyperbolic,
-    AlgebraKind.PLANAR: _impl.inv_planar,
-    AlgebraKind.POLAR: _impl.inv_polar,
-}
-
-_QUARTIC = {
-    AlgebraKind.CIRCULAR: _impl.quartic_circular,
-    AlgebraKind.HYPERBOLIC: _impl.quartic_hyperbolic,
-    AlgebraKind.PLANAR: _impl.quartic_planar,
-    AlgebraKind.POLAR: _impl.quartic_polar,
-}
+# One table per kernel: kind -> _impl.<op>_<kind>.
+_MUL, _SPLIT, _JOIN, _QUARTIC = (
+    {kind: getattr(_impl, f"{op}_{kind.value}") for kind in AlgebraKind}
+    for op in ("mul", "split", "join", "quartic"))
 
 
 def zero(kind: AlgebraKind) -> Quad:
@@ -443,45 +421,13 @@ def plane_split(u: Quad) -> tuple:
     convergent power-series) identity may be evaluated per entry and
     rejoined with :func:`plane_join`.
     """
-    kind = u.kind
-    x, y, z, t = u.x, u.y, u.z, u.t
-    if kind is _CIRCULAR:
-        return (complex(x + t, y + z), complex(x - t, y - z))
-    if kind is _HYPERBOLIC:
-        return (x + y + z + t, x - y + z - t, x + y - z - t, x - y - z + t)
-    if kind is _PLANAR:
-        a = (y - t) / _SQRT2
-        b = (y + t) / _SQRT2
-        return (complex(x + a, z + b), complex(x - a, -z + b))
-    return (x + y + z + t, x - y + z - t, complex(x - z, y - t))
+    return _SPLIT[u.kind](u.x, u.y, u.z, u.t)
 
 
 def _join(kind: AlgebraKind, parts: tuple) -> tuple:
-    """Inverse of :func:`plane_split` as the components (x, y, z, t).
-
-    Line entries may be complex (a line polynomial's complex roots); their
-    imaginary parts then pass into the components, which are complex too.
-    A plane entry gives real components.
-    """
-    if kind is _CIRCULAR:
-        w1, w2 = parts
-        return ((w1.real + w2.real) / 2.0, (w1.imag + w2.imag) / 2.0,
-                (w1.imag - w2.imag) / 2.0, (w1.real - w2.real) / 2.0)
-    if kind is _HYPERBOLIC:
-        s, sp, spp, sppp = parts
-        return ((s + sp + spp + sppp) / 4.0, (s - sp + spp - sppp) / 4.0,
-                (s + sp - spp - sppp) / 4.0, (s - sp - spp + sppp) / 4.0)
-    if kind is _PLANAR:
-        w1, w2 = parts
-        ymt = (w1.real - w2.real) / _SQRT2
-        ypt = (w1.imag + w2.imag) / _SQRT2
-        return ((w1.real + w2.real) / 2.0, (ymt + ypt) / 2.0,
-                (w1.imag - w2.imag) / 2.0, (ypt - ymt) / 2.0)
-    vp, vm, w1 = parts
-    return (vp / 4.0 + vm / 4.0 + w1.real / 2.0,
-            vp / 4.0 - vm / 4.0 + w1.imag / 2.0,
-            vp / 4.0 + vm / 4.0 - w1.real / 2.0,
-            vp / 4.0 - vm / 4.0 - w1.imag / 2.0)
+    """Inverse of :func:`plane_split` as the components (x, y, z, t), which
+    are complex where a line entry is (a line polynomial's complex root)."""
+    return _JOIN[kind](*parts)
 
 
 def plane_join(kind: AlgebraKind, parts: tuple) -> Quad:
@@ -541,14 +487,15 @@ def _domain_split(u: Quad, what: str) -> tuple:
     return parts
 
 
-def _residuals(u: Quad, tol: float) -> list[float]:
-    """Nodal residuals of u normalized by max(modulus(u), tol)."""
+def _residuals(u: Quad, parts: tuple, tol: float) -> list[float]:
+    """Nodal residuals of u, from its split ``parts``, normalized by
+    max(modulus(u), tol)."""
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     scale_ref = max(modulus(u), tol)
     # math.hypot, not abs(): complex abs rounds differently in the last bit.
     return [(math.hypot(p.real, p.imag) if p.__class__ is complex else abs(p))
-            / scale_ref for p in plane_split(u)]
+            / scale_ref for p in parts]
 
 
 def singularity(u: Quad, tol: float = DEFAULT_TOL) -> SingularityReport:
@@ -557,7 +504,7 @@ def singularity(u: Quad, tol: float = DEFAULT_TOL) -> SingularityReport:
     Residuals are normalized by max(modulus(u), tol) so the report is
     scale-free; a condition fires when its normalized residual <= tol.
     """
-    residuals = _residuals(u, tol)
+    residuals = _residuals(u, plane_split(u), tol)
     margin = min(residuals)
     fired = tuple(name for name, r in zip(_NODAL_SETS[u.kind], residuals)
                   if r <= tol)
@@ -566,18 +513,22 @@ def singularity(u: Quad, tol: float = DEFAULT_TOL) -> SingularityReport:
 
 
 def inverse(u: Quad, tol: float = DEFAULT_TOL) -> Quad:
-    """Multiplicative inverse: the join of the per-plane reciprocals.
+    """Multiplicative inverse: the join of the split parts' reciprocals.
+
+    One split gives both the nodal residuals and the reciprocals.
 
     Raises:
         SingularValue: if u is within tol (normalized) of any nodal set.
     """
-    if min(_residuals(u, tol)) <= tol:
+    kind = u.kind
+    parts = _SPLIT[kind](u.x, u.y, u.z, u.t)
+    if min(_residuals(u, parts, tol)) <= tol:
         report = singularity(u, tol)
         raise SingularValue(
             f"{u.kind} value {u.components} lies on nodal set(s) "
             f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})"
         )
-    return Quad(u.kind, *_INV[u.kind](u.x, u.y, u.z, u.t))
+    return Quad(kind, *_JOIN[kind](*_impl.reciprocals(parts)))
 
 
 def pow_int(u: Quad, m: int, tol: float = DEFAULT_TOL) -> Quad:

@@ -39,6 +39,7 @@ from .algebra_core import (
     Quad,
     QuadfieldError,
     _join,
+    _overflow,
     _Record,
     inverse,
     modulus,
@@ -178,7 +179,8 @@ def _aberth(coeffs: list[complex], name: str) -> list[complex]:
     and is frozen once |p(z)| <= 4 m eps sum |a_k| |z|^k.  Overlapping
     freeze-time inclusion disks (radius m |p/p'|) form clusters; a k-root
     cluster's mean, after k Newton steps on p^(k-1), replaces its roots.
-    NoConvergence: past the sweep cap, or a non-finite bound or iterate.
+    NoConvergence: past the sweep cap.  OverflowError: a non-finite bound
+    or iterate, or a complex modulus past the double range.
     """
     m = len(coeffs) - 1
     while m and coeffs[m] == 0:
@@ -212,8 +214,7 @@ def _aberth(coeffs: list[complex], name: str) -> list[complex]:
                 step = 0j
             z[i] = zn = zi - step
             if bound - bound or zn - zn:   # inf or NaN, as from any p
-                raise NoConvergence(f"root finder left the double range on "
-                                    f"the {name} component")
+                raise OverflowError
             if abs(p) > tol * bound:
                 still.append(i)
             else:   # an exact critical point (p' = 0) gets a point disk
@@ -305,9 +306,13 @@ def _component_root_lists(p: Poly, comp_coeffs) -> list[list[complex]]:
     lists: list[list[complex]] = []
     for name, plane, coeffs in zip(_NODAL_SETS[p.kind], _IS_PLANE[p.kind],
                                    comp_coeffs):
-        roots = _aberth(coeffs, name)
-        if not plane:
-            roots = _symmetrize_conjugates(roots)
+        try:
+            roots = _aberth(coeffs, name)
+            if not plane:
+                roots = _symmetrize_conjugates(roots)
+        except OverflowError:
+            raise NoConvergence(f"root finder left the double range on "
+                                f"the {name} component") from None
         roots.sort(key=lambda z: (z.real, z.imag))
         lists.append(roots)
     return lists
@@ -319,6 +324,9 @@ def _assemble(p: Poly, component_orders: tuple[tuple[complex, ...], ...],
 
     The residual is |P(root)|: each component polynomial (`comp_coeffs`)
     is evaluated at its component root, and the values are joined once.
+
+    ResultOverflow: a root, or the modulus of a root component or of a
+    residual value, passes the double range.
     """
     kind = p.kind
     roots = []
@@ -326,8 +334,14 @@ def _assemble(p: Poly, component_orders: tuple[tuple[complex, ...], ...],
     for parts in zip(*component_orders):
         values = _join(kind, tuple(_horner_c(c, z)
                                    for c, z in zip(comp_coeffs, parts)))
-        residual = max(residual, math.hypot(*map(abs, values)))
-        roots.append(_as_root(kind, _join(kind, parts)))
+        x, y, z, t = root = _join(kind, parts)
+        if (x - x) + (y - y) + (z - z) + (t - t):   # inf or NaN
+            raise _overflow(kind, "root")
+        try:
+            residual = max(residual, math.hypot(*map(abs, values)))
+            roots.append(_as_root(kind, root))
+        except OverflowError:   # abs() of a complex whose parts are finite
+            raise _overflow(kind, "root or its residual") from None
     return Factorization(tuple(roots), residual, multiplicities)
 
 
@@ -467,9 +481,14 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
     matching).  When M is not finite or near the top of the double range,
     where the join may overflow, nothing is cut.
 
+    An order that puts two equal roots of a component out of index order
+    is skipped: it gives the same root values as the earlier order that
+    keeps them in index order, hence the same prefix test and the same
+    leaves, each a duplicate or rejected there.
+
     The work is bounded by a budget of 100,000 visits (`_MAX_VISITS`).
-    A visit is one component order tested against a prefix, or one leaf
-    assembled.
+    A visit is one component order generated under a prefix (tested, or
+    skipped as above), or one leaf assembled.
 
     Raises:
         ValueError: `cap` is below 1.
@@ -490,6 +509,9 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
                  for lst, plane in zip(lists, _IS_PLANE[p.kind])]
     else:  # not finite, or the join may overflow: cut nothing
         masks = [[full] * m for _ in lists]
+    # Per component, each k whose root equals root k + 1 (the lists are
+    # sorted, so equal roots are adjacent).
+    ties = [[k for k in range(m - 1) if lst[k] == lst[k + 1]] for lst in lists]
     depth = len(lists)
     chosen: list = [None] * depth
     seen: set = set()
@@ -507,8 +529,11 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
     def descend(j: int, rows: list[int]) -> bool:
         """Walk component j's orders under a prefix; True once cap is met."""
         orders = [tuple(range(m))] if j == 0 else itertools.permutations(range(m))
+        tie = ties[j]
         for perm in orders:
             visit()
+            if tie and any(perm.index(k) > perm.index(k + 1) for k in tie):
+                continue   # repeats the leaves of an earlier order
             narrowed = _narrow(rows, masks[j], perm)
             if narrowed is None or not _matchable(narrowed):
                 continue

@@ -508,7 +508,7 @@ def test_backend_reports_selection():
 
 def test_kernel_module_exposes_twelve_kernels():
     from quadfield import _kernels_py
-    for op in ("mul", "inv", "quartic"):
+    for op in ("mul", "inv", "quartic", "split", "join"):
         for kind in KINDS:
             assert callable(getattr(_kernels_py, f"{op}_{kind.value}"))
 

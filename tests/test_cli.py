@@ -332,6 +332,18 @@ class TestFactor:
         assert code == 2
         assert json.loads(out)["error"] == "NoConvergence"
 
+    def test_coefficient_modulus_past_the_double_range_is_a_json_error(
+            self, capsys):
+        # finite parts; the modulus of the rho_plus coefficient overflows
+        code, out, _ = run_main(capsys, "factor", "--kind", "circular",
+                                "--coeffs", "[1, [0.75e308, 0.75e308, "
+                                "0.75e308, 0.75e308]]")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "NoConvergence",
+            "message": "root finder left the double range on the rho_plus "
+                       "component"}
+
     def test_triple_root_prints_its_multiplicity(self, capsys):
         code, out, _ = run_main(capsys, "factor", "--kind", "polar",
                                 "--coeffs", "[1, -3, 3, -1]")

@@ -1,8 +1,9 @@
 """The core split's join against the polynomial module's former copy.
 
-`algebra_core._join` holds the only copy of the join formulas:
-`plane_join` builds a Quad from it, and `polynomial` joins its complex
-roots with it and evaluates each residual per component.
+The join formulas are written once, as `_kernels_py.join_<kind>`, and
+`algebra_core._join` dispatches to them: `plane_join` builds a Quad from
+it, and `polynomial` joins its complex roots with it and evaluates each
+residual per component.
 `tests/join_oracle.py` keeps the join and the 4-D residual that
 `polynomial` used before.
 """

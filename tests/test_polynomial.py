@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enumerate_oracle
@@ -158,13 +158,15 @@ class TestFactorWorkedExamples:
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_huge_coefficients_finite_roots_or_typed_error(self, kind, data):
-        big = st.floats(min_value=-1e300, max_value=1e300,
-                        allow_nan=False, allow_infinity=False)
-        degree = data.draw(st.integers(1, 6))
-        p = Poly(kind, (one(kind),) + tuple(
-            data.draw(quads(kind, big)) for _ in range(degree)))
+    @given(coeffs=st.lists(st.tuples(*[st.floats(allow_nan=False,
+                                                  allow_infinity=False)] * 4),
+                           min_size=1, max_size=6))
+    # finite parts, but the circular rho_plus coefficient's modulus overflows
+    @example(coeffs=[(0.75e308,) * 4])
+    # finite line roots whose hyperbolic join overflows
+    @example(coeffs=[(0.0, 0.0, 0.0, 4.49423283715579e307)])
+    def test_huge_coefficients_finite_roots_or_typed_error(self, kind, coeffs):
+        p = Poly(kind, (one(kind),) + tuple(Quad(kind, *c) for c in coeffs))
         try:
             f = factor(p)
         except QuadfieldError:
@@ -444,8 +446,11 @@ class TestPrunedEnumeration:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_brute_force_on_worked_examples(self, kind):
+        # the last three, u^3, u^2 (u - 1) and (u - 1)^2 (u + 1), have
+        # exactly equal roots
         for tail in ((0.0, -1.0), (0.0, 1.0), (0.0, -1.0, 0.0),
-                     (0.0, 0.0, 0.0, -1.0), (0.0, 0.0, 0.0, 1.0)):
+                     (0.0, 0.0, 0.0, -1.0), (0.0, 0.0, 0.0, 1.0),
+                     (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (-1.0, -1.0, 1.0)):
             p = upoly(kind, *tail)
             for cap in (1, 3, 100):
                 assert_same_results(*enumerations(p, cap))
@@ -470,6 +475,24 @@ class TestEnumerationBudget:
         monkeypatch.setattr(polynomial, "_MAX_VISITS", 1)
         with pytest.raises(EnumerationBudgetExceeded,
                            match=r"budget of 1 visits with 0 of cap=2"):
+            enumerate_factorizations(p, cap=2)
+
+    @pytest.mark.parametrize("degree", (5, 6))
+    def test_repeated_root_within_default_budget(self, degree):
+        # hyperbolic u^m: every line root is 0, so the m! orders of each
+        # line give one distinct factorization
+        p = upoly(HYPERBOLIC, *[0.0] * degree)
+        facts = enumerate_factorizations(p, cap=2)
+        assert [f.roots for f in facts] == [(zero(HYPERBOLIC),) * degree]
+
+    def test_skipped_orders_count_as_visits(self, monkeypatch):
+        # hyperbolic u^5: 1 pinned order, 120 orders generated on each of
+        # the three other lines (one kept) and 1 leaf: 362 visits
+        p = upoly(HYPERBOLIC, *[0.0] * 5)
+        monkeypatch.setattr(polynomial, "_MAX_VISITS", 362)
+        assert len(enumerate_factorizations(p, cap=2)) == 1
+        monkeypatch.setattr(polynomial, "_MAX_VISITS", 361)
+        with pytest.raises(EnumerationBudgetExceeded):
             enumerate_factorizations(p, cap=2)
 
     def test_budget_error_is_typed(self):

@@ -12,6 +12,7 @@ read off the split by one shared helper each.
 """
 
 _SQRT2 = 2.0 ** 0.5
+_NORMAL, _INF = 2.0 ** -1022, float("inf")
 
 
 # -- products -----------------------------------------------------------
@@ -110,14 +111,21 @@ def join_polar(vp, vm, w1):
 # the expanded quartic and the cubic adjugate formulas cancel.
 
 def reciprocals(parts):
-    """Per part: 1/s on a line, (a - ib)/(a^2 + b^2) on a plane a + ib."""
+    """Per part: 1/s on a line, (a - ib)/(a^2 + b^2) on a plane a + ib; if
+    a^2 + b^2 is not a normal double, s * 1/(s*p) with s = 2^-600 or 2^600."""
     out = []
     for p in parts:
         if p.__class__ is complex:
             a = p.real
             b = p.imag
             n = a * a + b * b
-            out.append(complex(a / n, -b / n))
+            if _NORMAL <= n < _INF:
+                out.append(complex(a / n, -b / n))
+            else:
+                s = 2.0 ** -600 if n >= 1.0 else 2.0 ** 600
+                a, b = a * s, b * s
+                n = a * a + b * b
+                out.append(complex(a / n * s, -b / n * s))
         else:
             out.append(1.0 / p)
     return out

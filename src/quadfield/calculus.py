@@ -6,12 +6,13 @@
   the second-order Laplace/wave/mixed equations each kind's analytic
   functions satisfy, via central finite differences; both sets of
   relations are read off the kind's unit products.
-* Trapezoidal loop integration of Quad-valued integrands, summed one
-  split part at a time and joined once, with the closed-form residue
-  predictions: the loop integral of du/(u - u0) picks up the kind's
-  residue unit of each complex plane of the split (2*pi*i on that plane,
-  joined back), times the signed winding number of the loop's projection
-  about the pole's; hyperbolic loops of regular functions always vanish.
+* Loop integration, one split part at a time: the adaptive periodic
+  trapezoid rule on circles (Trefethen and Weideman, SIAM Review 56(3),
+  2014), the chord rule on polylines.  The integral of du/(u - u0) picks
+  up the kind's residue unit of each complex plane of the split (2*pi*i
+  on that plane, joined back), times the signed winding number of the
+  loop's projection about the pole's; hyperbolic loops of regular
+  functions always vanish.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ _SQRT2 = math.sqrt(2.0)
 _PI = math.pi
 _TWO_PI = 2.0 * _PI
 _TWO_PI_I = complex(0.0, _TWO_PI)
+_LOOP_TOL = 1e-12   # relative agreement that stops the tangent rule
 
 
 class DegenerateSeries(QuadfieldError):
@@ -59,7 +61,7 @@ class SingularOnPath(QuadfieldError):
 
 
 class OnBoundary(QuadfieldError):
-    """Raised when a winding query point lies on the polygon boundary."""
+    """Raised when a pole or winding query point lies on a loop projection."""
 
 
 class NearBoundaryWarning(UserWarning):
@@ -268,17 +270,43 @@ def check_second_order(f, u0: Quad, h: float = 1e-4) -> float:
 
 # -- loops and integration --------------------------------------------------
 
+def _ring(i: int, samples: int) -> complex:
+    th = 2.0 * _PI * i / samples
+    return complex(math.cos(th), math.sin(th))
+
+
+def _circle_map(plane: str, center: Quad, radius: float, psi, fixed_angle):
+    """ring -> the split parts of a circle's point (see Loop); affine."""
+    kind = center.kind
+    c = plane_split(center)
+    if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
+        r_plus = _SQRT2 * radius * math.sin(psi)
+        r_minus = _SQRT2 * radius * math.cos(psi)
+        fixed = complex(math.cos(fixed_angle), math.sin(fixed_angle))
+        if plane == "plus":
+            w2 = c[1] + r_minus * fixed
+            return lambda ring: (c[0] + r_plus * ring, w2)
+        w1 = c[0] + r_plus * fixed
+        return lambda ring: (w1, c[1] + r_minus * ring)
+    if kind is AlgebraKind.HYPERBOLIC:
+        k = 0 if plane == "plus" else 2
+        return lambda ring: c[:k] + (c[k] + radius * ring.real,
+                                     c[k + 1] + radius * ring.imag) + c[k + 2:]
+    r = _SQRT2 * radius
+    return lambda ring: (c[0], c[1], c[2] + r * ring)
+
+
 class Loop(_Record):
     """Closed polyline of Quad samples (first == last, >= 8 segments).
 
-    Build with :meth:`from_points`, or :meth:`circle` which expands the
-    per-kind circle parametrizations: circular/planar circles live at
-    fixed angle psi, winding in the plus or minus distinguished plane
+    Build with :meth:`from_points`, or :meth:`circle`, whose loops keep
+    their circle (the fields after ``points``, which must give the points)
+    for the tangent rule and the prediction: circular/planar circles live
+    at fixed angle psi, winding in the plus or minus distinguished plane
     with radii r*sin(psi) / r*cos(psi); polar circles wind in the
-    (v1, v1~) plane with v+ and v- frozen at the center's values (only
-    the plus plane carries residues); hyperbolic circles wind in the
-    (s, s') or (s'', s''') coordinate pair.  Radii and centers are in
-    canonical-chart units.
+    (v1, v1~) plane with v+ and v- frozen at the center's values;
+    hyperbolic circles wind in the (s, s') or (s'', s''') coordinate
+    pair.  Radii and centers are in canonical-chart units.
     """
 
     __slots__ = ("points", "plane", "center", "radius", "psi", "fixed_angle")
@@ -297,6 +325,16 @@ class Loop(_Record):
         gap = max(abs(a - b) for a, b in zip(first.components, last.components))
         if gap > 1e-12 * max(1.0, modulus(first)):
             raise ValueError(f"loop is not closed: first/last gap {gap:.3e}")
+        if self.radius is not None:  # the circle must give the points
+            s, kind = len(self.points) - 1, first.kind
+            try:
+                at = _circle_map(*self._values()[1:])
+                fits = all(self.points[i] == plane_join(kind, at(_ring(i, s)))
+                           for i in (0, s // 3, 2 * s // 3))
+            except (AttributeError, TypeError, ValueError):
+                fits = False
+            if not fits:
+                raise ValueError("the circle fields do not give the points")
 
     @property
     def kind(self) -> AlgebraKind:
@@ -334,31 +372,8 @@ class Loop(_Record):
                 "polar circles wind only in the (v1, v1~) plane; "
                 "use plane='plus'"
             )
-        c = plane_split(center)
-        rings = (complex(math.cos(th), math.sin(th))
-                 for th in (2.0 * _PI * i / samples for i in range(samples)))
-        if charted:
-            # Chart radii scale by sqrt(2) in plane-projection units.
-            r_plus = _SQRT2 * radius * math.sin(psi)
-            r_minus = _SQRT2 * radius * math.cos(psi)
-            fixed = complex(math.cos(fixed_angle), math.sin(fixed_angle))
-            if plane == "plus":
-                w2 = c[1] + r_minus * fixed
-                parts = ((c[0] + r_plus * ring, w2) for ring in rings)
-            else:
-                w1 = c[0] + r_plus * fixed
-                parts = ((w1, c[1] + r_minus * ring) for ring in rings)
-        elif kind is AlgebraKind.HYPERBOLIC:
-            if plane == "plus":
-                parts = ((c[0] + radius * ring.real, c[1] + radius * ring.imag,
-                          c[2], c[3]) for ring in rings)
-            else:
-                parts = ((c[0], c[1], c[2] + radius * ring.real,
-                          c[3] + radius * ring.imag) for ring in rings)
-        else:
-            r = _SQRT2 * radius
-            parts = ((c[0], c[1], c[2] + r * ring) for ring in rings)
-        pts = [plane_join(kind, p) for p in parts]
+        at = _circle_map(plane, center, radius, psi, fixed_angle)
+        pts = [plane_join(kind, at(_ring(i, samples))) for i in range(samples)]
         return cls(
             points=tuple(pts + pts[:1]),
             plane=plane,
@@ -369,34 +384,84 @@ class Loop(_Record):
         )
 
 
-def integrate_loop(f, loop: Loop) -> Quad:
-    """Trapezoidal quadrature of the loop integral of f(u) du.
+def _split_value(f, loop: Loop, i: int) -> tuple:
+    p = loop.points[i]
+    try:
+        v = f(p)
+    except (QuadfieldError, ArithmeticError, ValueError) as exc:
+        raise SingularOnPath(f"integrand failed at sample {i}: {exc}") from exc
+    _require_same_kind(v, p)
+    return plane_split(v)
 
-    Each segment adds the endpoint-average of f times the increment du.
-    The sum runs one split part at a time, in sample order, and is joined
-    once, so results are deterministic for a given loop.
+
+def _tangent_sums(f, loop: Loop) -> list:
+    """The tangent rule's split parts; see :func:`integrate_loop`."""
+    at = _circle_map(*loop._values()[1:])
+    origin = at(0j)
+    s = n = len(loop.points) - 1
+    while n % 2 == 0 and n >= 16:
+        n //= 2
+    sums, sizes, last = [0.0] * len(origin), [0.0] * len(origin), None
+
+    def add(nodes, sums, sizes):
+        for i in nodes:
+            du = [a - b for a, b in zip(at(1j * _ring(i, s)), origin)]
+            for j, (v, d) in enumerate(zip(_split_value(f, loop, i), du)):
+                term = v * d
+                sums[j] += term
+                sizes[j] += abs(term)
+        return sums
+
+    def close(x, y, weight=1.0):
+        return all(abs(a - b) <= weight * _LOOP_TOL * h * m
+                   for a, b, m in zip(x, y, sizes))
+
+    add(range(0, s, s // n), sums, sizes)
+    while True:
+        h = _TWO_PI / n
+        now = [h * t for t in sums]
+        if n == s:
+            return now
+        if last and close(now, last):
+            # The n/2 nodes turned by one sample see a mode at a multiple
+            # of n below s, which both nested sums alias alike (1/u^17 at
+            # n = 16), turned by 2*pi*n/s or more: weight bounds its part.
+            turned = add(range(1, s, 2 * s // n), [0.0] * len(sums), sizes[:])
+            weight = 2.0 * math.sin(_PI * n / s)
+            if close([2.0 * h * t for t in turned], last, weight):
+                return now
+        last = now
+        add(range(s // n // 2, s, s // n), sums, sizes)
+        n *= 2
+
+
+def integrate_loop(f, loop: Loop) -> Quad:
+    """The loop integral of f(u) du, summed one split part at a time and
+    joined once; results are deterministic for a given loop.
+
+    A :meth:`Loop.circle` loop of s samples gets the periodic trapezoid
+    rule on f(u) du/dtheta over every (s/n)-th sample, n doubling from the
+    least s/2^k >= 8 until n = s or, in every split part, the n and n/2
+    sums agree to 1e-12 of the summed moduli of the n terms, and the n/2
+    sum agrees with the one turned by one sample (against aliasing) to
+    2*sin(pi*n/s) times that.  Other loops add, per segment, the
+    endpoint-average of f times the increment du.
 
     Raises:
-        SingularOnPath: f failed to evaluate at some sample.
+        SingularOnPath: f failed to evaluate at sample i of loop.points.
         ResultOverflow: the integral lies beyond the range of a double.
     """
-    values = []
-    for i, p in enumerate(loop.points[:-1]):
-        try:
-            v = f(p)
-        except (QuadfieldError, ArithmeticError, ValueError) as exc:
-            raise SingularOnPath(
-                f"integrand failed at sample {i}: {exc}"
-            ) from exc
-        _require_same_kind(v, p)
-        values.append(plane_split(v))
-    values.append(values[0])
-    totals = []
-    for us, fs in zip(zip(*map(plane_split, loop.points)), zip(*values)):
-        total = 0.0
-        for i in range(len(us) - 1):
-            total += (fs[i] + fs[i + 1]) * 0.5 * (us[i + 1] - us[i])
-        totals.append(total)
+    if loop.radius is not None:
+        totals = _tangent_sums(f, loop)
+    else:
+        values = [_split_value(f, loop, i) for i in range(len(loop.points) - 1)]
+        values.append(values[0])
+        totals = []
+        for us, fs in zip(zip(*map(plane_split, loop.points)), zip(*values)):
+            total = 0.0
+            for i in range(len(us) - 1):
+                total += (fs[i] + fs[i + 1]) * 0.5 * (us[i + 1] - us[i])
+            totals.append(total)
     try:
         return plane_join(loop.kind, tuple(totals))
     except ValueError:
@@ -492,8 +557,9 @@ def residue_prediction(poles, loop: Loop) -> Quad:
 
     The winding planes are the complex entries of ``plane_split``; in each,
     2*pi*i times a_j's split entry counts once per signed turn of the loop's
-    projection about the pole's, and the sums are joined back once.
-    Hyperbolic predictions are identically 0.
+    projection about the pole's (a circle for a :meth:`Loop.circle` loop,
+    else a polygon), and the sums are joined back once.  Hyperbolic
+    predictions are identically 0.
 
     Raises:
         OnBoundary: a pole projection lies on a loop projection.
@@ -505,19 +571,28 @@ def residue_prediction(poles, loop: Loop) -> Quad:
     planes = [j for j, plane in enumerate(_IS_PLANE[kind]) if plane]
     if not planes:
         return zero(kind)
-    # Loop allows a closing gap, so each projection closes on its first vertex.
-    splits = [plane_split(p) for p in loop.points[:-1]]
-    projections = [tuple((w[j].real, w[j].imag) for w in splits + splits[:1])
-                   for j in planes]
+    if loop.radius is None:
+        # Loop allows a closing gap: each projection closes on its first vertex.
+        splits = [plane_split(p) for p in loop.points[:-1]]
+        projections = {j: tuple((w[j].real, w[j].imag)
+                                for w in splits + splits[:1]) for j in planes}
+    else:
+        at = _circle_map(*loop._values()[1:])
+        mid, rim = at(0j), at(1 + 0j)
     total = [0.0] * len(_IS_PLANE[kind])
     for u_j, a_j in poles:
         if u_j.kind is not kind or a_j.kind is not kind:
             raise ValueError("pole kind does not match loop kind")
         pole_parts = plane_split(u_j)
         a_parts = plane_split(a_j)
-        for plane_idx, (j, poly) in enumerate(zip(planes, projections)):
-            pt = (pole_parts[j].real, pole_parts[j].imag)
-            dist = _polygon_distance(pt, poly)
+        for plane_idx, j in enumerate(planes):
+            w = pole_parts[j]
+            pt = (w.real, w.imag)
+            if loop.radius is None:
+                dist = _polygon_distance(pt, projections[j])
+            else:
+                off, r = abs(w - mid[j]), abs(rim[j] - mid[j])
+                dist = abs(off - r)
             if dist < 1e-6:
                 warnings.warn(
                     f"pole projection {pt} is within {dist:.2e} of the loop "
@@ -525,7 +600,10 @@ def residue_prediction(poles, loop: Loop) -> Quad:
                     NearBoundaryWarning,
                     stacklevel=2,
                 )
-            n = winding(WindingQuery(point2d=pt, polygon2d=poly))
+            if dist < 1e-9:
+                raise OnBoundary(f"point {pt} lies on the polygon boundary")
+            n = (int(off < r) if loop.radius is not None else
+                 winding(WindingQuery(point2d=pt, polygon2d=projections[j])))
             if n:
                 total[j] += _TWO_PI_I * n * a_parts[j]
     return plane_join(kind, tuple(total))

@@ -3,10 +3,11 @@
 Subcommands: eval, expform, factor, integrate, cosexp, matrix.  Quads are
 passed inline as comma-separated x,y,z,t; structured payloads are JSON.
 Exit codes: 0 success, 1 usage errors, 2 domain errors (the error is
-printed as a one-line JSON object so scripts can parse it).  A cosexp
-table is capped at ``COSEXP_MAX_ROWS`` rows and an ``integrate --loop``
-circle at ``LOOP_MAX_SAMPLES`` samples; asking for more is a usage error.
-The env var QUADFIELD_TOL overrides the default singularity tolerance.
+printed as a one-line JSON object so scripts can parse it).  Asking for
+a cosexp table past ``COSEXP_MAX_ROWS`` rows, or an ``integrate --loop``
+circle past ``LOOP_MAX_SAMPLES`` samples, is a usage error; a circle's
+``samples`` only caps its adaptive quadrature.  The env var
+QUADFIELD_TOL overrides the default singularity tolerance.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(format="json")
     p.add_argument("--loop", required=True,
                    help='JSON: {"points": [...]} or circle spec '
-                        '{"plane","center","radius","samples"}')
+                        '{"plane","center","radius","samples" (a cap)}')
     p.add_argument("--integrand", required=True,
                    choices=["pole", "pole_m", "square", "exp"])
     p.add_argument("--pole", required=True, help="pole / offset quad x,y,z,t")

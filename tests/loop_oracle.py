@@ -2,10 +2,11 @@
 
 These are `calculus.integrate_loop`, the sample loops of `Loop.circle`
 and `canonical.from_exp_form` as they were before they ran on the split:
-the trapezoid rule in 4-D `Quad` arithmetic, one join per circle sample
+the chord rule in 4-D `Quad` arithmetic, one join per circle sample
 with the fixed plane recomputed each time, and the exponent `Quad` of an
-exp form passed to `elementary.exp`.  `tests/test_loop_oracle.py` checks
-the split versions against them.
+exp form passed to `elementary.exp`.  `tangent_integral` is the periodic
+trapezoid rule on all samples of a circle, in 4-D `Quad` arithmetic.
+`tests/test_loop_oracle.py` checks the split versions against them.
 """
 
 import math
@@ -94,6 +95,28 @@ def integrate_loop(f, loop) -> Quad:
         avg = scale(values[i] + values[i + 1], 0.5)
         total = total + mul(avg, du)
     return total
+
+
+def tangent_integral(f, center: Quad, radius: float, plane: str = "plus",
+                     samples: int = 4096, psi: float = _PI / 4.0,
+                     fixed_angle: float = 0.0) -> Quad:
+    """The periodic trapezoid rule on all samples of a `Loop.circle` loop,
+    in 4-D `Quad` arithmetic: (2*pi/S) * sum f(u_k) u'(theta_k).
+
+    The circle is u(theta) = m + cos(theta) A + sin(theta) B, so
+    u'(theta) = -sin(theta) A + cos(theta) B, with A and B read off its
+    points at theta = 0, pi/2, pi and 3*pi/2.
+    """
+    pts = circle_points(center, radius, plane, samples, psi, fixed_angle)
+    quarter = circle_points(center, radius, plane, 4, psi, fixed_angle)
+    a = scale(quarter[0] - quarter[2], 0.5)
+    b = scale(quarter[1] - quarter[3], 0.5)
+    total = zero(center.kind)
+    for k in range(samples):
+        th = 2.0 * _PI * k / samples
+        du = scale(a, -math.sin(th)) + scale(b, math.cos(th))
+        total = total + mul(f(pts[k]), du)
+    return scale(total, 2.0 * _PI / samples)
 
 
 def _exponent_quad(f: ExpForm) -> Quad:

@@ -1,10 +1,13 @@
 """Series, analyticity checks, loop integration and residues."""
 
+import cmath
 import math
 import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadfield import (
     AlgebraKind,
@@ -28,6 +31,7 @@ from quadfield import (
     mul,
     one,
     plane_join,
+    plane_split,
     pow_int,
     residue_prediction,
     scale,
@@ -391,6 +395,148 @@ class TestSignedWinding:
         loop = Loop.circle(u0 + Quad(kind, *offset), 1.0, samples=4096)
         twice = Loop.from_points(loop.points[:-1] + loop.points)
         self._check(kind, u0, twice, 2)
+
+
+@st.composite
+def circles_with_poles(draw):
+    """A 1,024-sample circle of any kind, plane, radius, psi and fixed
+    angle, and a pole whose split parts all lie at least 0.2 of the loop's
+    reach in that part off its projection: inside or outside a winding
+    circle, beyond the segment a line sweeps, or, on a fixed part, at
+    least 0.2 * radius off its point."""
+    kind = draw(st.sampled_from(KINDS))
+    planes = ["plus"] if kind is AlgebraKind.POLAR else ["plus", "minus"]
+    radius = draw(st.floats(min_value=0.05, max_value=1.5))
+    loop = Loop.circle(
+        Quad(kind, *[draw(st.floats(min_value=-1.0, max_value=1.0))
+                     for _ in range(4)]),
+        radius, plane=draw(st.sampled_from(planes)), samples=1024,
+        psi=draw(st.floats(min_value=0.05, max_value=PI / 2 - 0.05)),
+        fixed_angle=draw(st.floats(min_value=-7.0, max_value=7.0)))
+    inside = st.floats(min_value=0.0, max_value=0.8)
+    outside = st.floats(min_value=1.2, max_value=2.5)
+    angle = st.floats(min_value=0.0, max_value=2 * PI)
+    parts = []
+    for projection in zip(*map(plane_split, loop.points[:-1])):
+        mid = sum(projection) / len(projection)
+        reach = max(abs(w - mid) for w in projection)
+        plane = isinstance(mid, complex)
+        if reach < 1e-9:
+            reach, t = radius, draw(st.floats(min_value=0.2, max_value=2.5))
+        else:
+            t = draw(st.one_of(inside, outside) if plane else outside)
+        direction = (cmath.exp(1j * draw(angle)) if plane
+                     else draw(st.sampled_from([-1.0, 1.0])))
+        parts.append(mid + t * reach * direction)
+    return loop, plane_join(kind, tuple(parts))
+
+
+class TestCircleLoops:
+    """Loop.circle loops are integrated and predicted as exact circles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(circles_with_poles(),
+           st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 4))
+    def test_integrals_match_the_prediction(self, case, coeff):
+        loop, u0 = case
+        a = Quad(loop.kind, *coeff)
+        for f, residue in ((lambda u: mul(a, inverse(u - u0)), a),
+                           (lambda u: mul(exp(u), inverse(u - u0)), exp(u0))):
+            pred = residue_prediction([(u0, residue)], loop)
+            got = integrate_loop(f, loop)
+            assert max_abs_diff(got, pred) <= 1e-10 * max(
+                1.0, max(map(abs, pred.components)))
+
+    @pytest.mark.parametrize("kind,integrand,budget", [
+        (AlgebraKind.CIRCULAR, "pole", 24), (AlgebraKind.POLAR, "exp", 48)])
+    def test_benchmark_shape_in_few_evaluations(self, kind, integrand,
+                                                budget):
+        # The shape of `quadfield integrate` in the benchmark's cli
+        # workload: radius 0.5, 1,024 samples, the pole at the centre
+        # (polar: v+ and v- moved off it by 0.5).
+        center = u0 = Quad(kind, 0.31, -0.12, 0.24, 0.07)
+        if kind is AlgebraKind.POLAR:
+            vp, vm, w = plane_split(center)
+            u0 = plane_join(kind, (vp + 0.5, vm - 0.5, w))
+        loop = Loop.circle(center, 0.5, samples=1024)
+        evaluations = []
+
+        def f(u):
+            evaluations.append(u)
+            return (inverse(u - u0) if integrand == "pole"
+                    else mul(exp(u), inverse(u - u0)))
+
+        residue = one(kind) if integrand == "pole" else exp(u0)
+        got = integrate_loop(f, loop)
+        assert max_abs_diff(got, residue_prediction([(u0, residue)], loop)
+                            ) <= 1e-12
+        # 16 (polar: 32) nested nodes and half as many turned ones
+        assert len(evaluations) == budget
+        assert all(any(u is p for p in loop.points) for u in evaluations)
+
+    @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR,
+                                      AlgebraKind.PLANAR, AlgebraKind.POLAR])
+    @pytest.mark.parametrize("m", [17, 33, 65, 129])
+    @pytest.mark.parametrize("offset", [0.0, 1e-4])
+    def test_modes_that_the_nested_grids_alias(self, kind, m, offset):
+        # 1/(u - u0)^m about the centre is one Fourier mode, m - 1, which
+        # every nested sum of up to m - 1 nodes aliases alike: they agree
+        # on a nonzero value while the integral vanishes.  All parts of
+        # u - u0 have modulus about 1 (polar: v+ and v- moved by 1).
+        center = Quad(kind, 0.3, -0.2, 0.1, 0.4)
+        parts = list(plane_split(center))
+        polar = kind is AlgebraKind.POLAR
+        if polar:
+            parts[0], parts[1] = parts[0] + 1.0, parts[1] - 1.0
+        parts[2 if polar else 0] += offset
+        u0 = plane_join(kind, tuple(parts))
+        loop = Loop.circle(center, 0.5 ** 0.5 if polar else 1.0, samples=1024)
+        got = integrate_loop(lambda u: pow_int(inverse(u - u0), m), loop)
+        assert max(map(abs, got.components)) < 1e-10
+
+    @pytest.mark.parametrize("samples", [1024, 16384])
+    @pytest.mark.parametrize("eps", [1e-10, 1e-11])
+    def test_a_small_aliased_mode_is_not_missed(self, samples, eps):
+        # 1/u + eps/u^17 on the unit circle: the 8- and 16-node sums both
+        # read 2*pi*i*(1 + eps) in the plus plane, and the 8 nodes turned
+        # by one sample differ from them by only 2*sin(16*pi/samples)*eps.
+        c = zero(AlgebraKind.CIRCULAR)
+        loop = Loop.circle(c, 1.0, samples=samples)
+        got = integrate_loop(
+            lambda u: inverse(u) + scale(pow_int(inverse(u), 17), eps), loop)
+        assert max_abs_diff(got, Quad(c.kind, 0.0, PI, PI, 0.0)) < 1e-12
+
+    def test_circle_fields_must_give_the_points(self):
+        c = zero(AlgebraKind.CIRCULAR)
+        circle = Loop.circle(c, 3.0, samples=16)
+        fields = dict(plane="plus", center=c, radius=3.0, psi=PI / 4,
+                      fixed_angle=0.0)
+        assert Loop(points=circle.points, **fields) == circle
+        for wrong in (dict(radius=1.0), dict(center=one(c.kind)),
+                      dict(fixed_angle=0.5), dict(plane="minus"),
+                      dict(psi=None), dict(center=None)):
+            with pytest.raises(ValueError, match="circle fields"):
+                Loop(points=circle.points, **{**fields, **wrong})
+        polar = Loop.circle(zero(AlgebraKind.POLAR), 1.0, samples=16)
+        with pytest.raises(ValueError, match="circle fields"):
+            Loop(points=polar.points, plane="plus",
+                 center=zero(AlgebraKind.POLAR), radius=2.0)
+
+    @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR,
+                                      AlgebraKind.PLANAR, AlgebraKind.POLAR])
+    def test_pole_between_the_polygon_and_the_circle_is_enclosed(self, kind):
+        # The 16-gon's edges pass within cos(pi/16) = 0.981 of the centre.
+        loop = Loop.circle(zero(kind), 1.0, samples=16)
+        j = 2 if kind is AlgebraKind.POLAR else 0
+        parts = list(plane_split(zero(kind)))
+        r = abs(plane_split(loop.points[0])[j])
+        parts[j] = 0.99 * r * cmath.exp(1j * PI / 16)
+        u0 = plane_join(kind, tuple(parts))
+        poles = [(u0, one(kind))]
+        assert max_abs_diff(residue_prediction(poles, loop),
+                            RESIDUE_UNITS[kind][0]) < 1e-12
+        polygon = Loop.from_points(loop.points)
+        assert residue_prediction(poles, polygon) == zero(kind)
 
 
 class TestResiduePrediction:

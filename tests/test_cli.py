@@ -153,6 +153,17 @@ class TestEval:
         assert json.loads(out) == {"kind": "circular", "x": 0.5, "y": -0.0,
                                    "z": -0.0, "t": -0.0}
 
+    @pytest.mark.parametrize("kind", ["circular", "planar", "polar"])
+    def test_inverse_where_a_plane_modulus_squared_overflows(self, capsys,
+                                                             kind):
+        # a^2 + b^2 of the plane part 1e200 overflows a double
+        code, out, _ = run_main(capsys, "eval", "--kind", kind, "--op",
+                                "inverse", "--a", "1e200,0,0,0", "--format",
+                                "json")
+        assert code == 0
+        assert json.loads(out) == {"kind": kind, "x": 1e-200, "y": 0.0,
+                                   "z": 0.0, "t": 0.0}
+
     def test_amplitude_with_undefined_rho(self, capsys):
         code, out, _ = run_main(capsys, "eval", "--kind", "hyperbolic",
                                 "--op", "amplitude",
@@ -452,6 +463,20 @@ class TestIntegrate:
         payload = json.loads(out)
         assert payload["prediction"] == [0.0] * 4
         assert payload["result"] == pytest.approx([0.0] * 4, abs=1e-8)
+
+    @pytest.mark.parametrize("m", [17, 33, 65])
+    def test_pole_m_whose_mode_aliases_on_nested_grids(self, capsys, m):
+        # In the plus plane the integrand is i*exp(-(m - 1)i*theta): the
+        # 8-, 16- (and for m = 33, 32-) node sums all read 2*pi*i, though
+        # the integral is 0.
+        code, out, _ = run_main(
+            capsys, "integrate", "--kind", "circular",
+            "--loop", '{"center": [0,0,0,0], "radius": 1, "samples": 1024}',
+            "--integrand", "pole_m", "--m", str(m), "--pole", "0,0,0,0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["prediction"] == [0.0] * 4
+        assert payload["result"] == pytest.approx([0.0] * 4, abs=1e-12)
 
     def test_exp_cauchy(self, capsys):
         code, out, _ = run_main(

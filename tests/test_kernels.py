@@ -4,10 +4,14 @@
 parts' reciprocals and ``quartic_<kind>`` as the product of the line
 values and the planes' squared moduli.  `tests/kernels_oracle.py` keeps
 the written-out formulas they replaced; the two must agree bit for bit,
-including the exception raised on a nodal set.
+including the exception raised on a nodal set.  The one exception is an
+inverse where some plane's a^2 + b^2 is not a normal double: there the
+written-out formula overflows to 0 or underflows, and the reciprocals are
+checked against exact rational arithmetic instead.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +48,27 @@ def outcome(fn, comps):
     return value.hex()
 
 
+def normal(n):
+    return 2.0 ** -1022 <= n < math.inf
+
+
+# (a/n, -b/n) with n = a^2 + b^2 rounds four times, so it can be off by
+# up to 3 ulps per component.  On 300,000 random parts it read 2.15 ulps
+# at worst where n is normal, and 2.24 on parts first scaled into range
+# by a power of two, which is how the kernel computes the other ones.
+RECIPROCAL_ULPS = 3
+
+
+def assert_close_to_exact(got, exact):
+    try:
+        want = float(exact)
+    except OverflowError:
+        assert math.isinf(got)
+        return
+    assert abs(Fraction(got) - exact) <= RECIPROCAL_ULPS * Fraction(
+        math.ulp(want))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=500, deadline=None)
 @given(comps=near_nodal())
@@ -52,8 +77,29 @@ def outcome(fn, comps):
 @example(comps=(1.0, 1.0 / math.sqrt(2.0), -1.0, 1.0 / math.sqrt(2.0)))
 @example(comps=(1e150, -1e150, 1e150, 1e-150))
 @example(comps=(1e-150, 2e-150, -1e-150, 5e-151))
+@example(comps=(1e200, 0.0, 0.0, 0.0))
+@example(comps=(1e160, 3e159, 0.0, 0.0))
+@example(comps=(3e-170, -1e-171, 2e-170, 0.0))
+@example(comps=(5e-320, 0.0, 0.0, 3e-321))
 def test_derived_kernels_match_the_written_out_formulas(kind, comps):
-    for op in ("inv", "quartic"):
-        name = f"{op}_{kind.value}"
+    name = f"quartic_{kind.value}"
+    assert outcome(getattr(K, name), comps) == outcome(getattr(O, name), comps)
+    name = f"inv_{kind.value}"
+    parts = getattr(K, f"split_{kind.value}")(*comps)
+    if all(normal(p.real * p.real + p.imag * p.imag)
+           for p in parts if p.__class__ is complex):
         assert outcome(getattr(K, name), comps) == outcome(getattr(O, name),
                                                            comps)
+        return
+    assert (outcome(getattr(K, name), comps) == "ZeroDivisionError") == (
+        0 in parts)
+    for p in parts:
+        if p == 0:
+            continue
+        (got,) = K.reciprocals([p])
+        if p.__class__ is float:
+            assert_close_to_exact(got, 1 / Fraction(p))
+        else:
+            a, b = Fraction(p.real), Fraction(p.imag)
+            assert_close_to_exact(got.real, a / (a * a + b * b))
+            assert_close_to_exact(got.imag, -b / (a * a + b * b))

@@ -5,7 +5,9 @@
 `Loop.circle` builds its samples from one list of unit-circle points, and
 `from_exp_form` joins split parts read off the fields.  `tests/loop_oracle.py`
 keeps the former versions: the circles must be bitwise the same, and the
-sums and exp forms equal within rounding.
+polyline sums and exp forms equal within rounding.  A `Loop.circle` loop
+is integrated by the adaptive tangent rule, checked against the oracle's
+4-D tangent rule on all of its samples.
 """
 
 import math
@@ -77,9 +79,12 @@ def rounding_scale(f, loop):
                                                      "twice"]),
        st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 4))
 def test_integrate_loop_matches_the_oracle(args, shape, pole):
+    # Polylines only: integrate_loop treats a Loop.circle loop as an exact
+    # circle (see the tangent-rule test below), so the "circle" shape is its
+    # points as a polyline.
     circle = Loop.circle(**args)
     loop = {
-        "circle": circle,
+        "circle": Loop.from_points(circle.points),
         "clockwise": Loop.from_points(reversed(circle.points)),
         "twice": Loop.from_points(circle.points[:-1] * 2
                                   + circle.points[:1]),
@@ -92,6 +97,26 @@ def test_integrate_loop_matches_the_oracle(args, shape, pole):
     got, want = integrate_loop(f, loop), O.integrate_loop(f, loop)
     bound = 1e-14 * rounding_scale(f, loop)
     assert all(abs(a - b) <= bound
+               for a, b in zip(got.components, want.components))
+
+
+@SETTINGS
+@given(circle_args(max_samples=64),
+       st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 4))
+def test_circle_integral_matches_the_tangent_rule_oracle(args, pole):
+    # The adaptive rule stops where two sums agree to 1e-12 of their terms;
+    # for an entire integrand that is within rounding of the full sum.
+    u0 = Quad(args["center"].kind, *pole)
+
+    def f(u):
+        return mul(exp(u), u - u0)
+
+    got = integrate_loop(f, Loop.circle(**args))
+    want = O.tangent_integral(f, **args)
+    points = O.circle_points(**args)
+    size = sum(modulus(f(p)) * modulus(q - p)
+               for p, q in zip(points, points[1:]))
+    assert all(abs(a - b) <= 1e-11 * size
                for a, b in zip(got.components, want.components))
 
 

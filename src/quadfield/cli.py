@@ -191,6 +191,8 @@ def _cmd_factor(args) -> str:
     if not isinstance(entries, list) or len(entries) < 2:
         raise _UsageError("--coeffs must be a JSON list (leading first, "
                           "degree >= 1)")
+    if args.enumerate is not None and args.enumerate < 1:
+        raise _UsageError("--enumerate must be >= 1")
     poly = Poly.from_coefficients(kind, [_coeff_quad(kind, e) for e in entries])
     f = factor(poly)
     out = {
@@ -201,8 +203,6 @@ def _cmd_factor(args) -> str:
         "factors": _render_factors(f, kind, args.digits),
     }
     if args.enumerate is not None:
-        if args.enumerate < 1:
-            raise _UsageError("--enumerate must be >= 1")
         facts = enumerate_factorizations(poly, cap=args.enumerate)
         out["count"] = len(facts)
         out["factorizations"] = [
@@ -228,7 +228,10 @@ def _parse_loop(kind: AlgebraKind, text: str):
         radius = float(spec["radius"])
     except KeyError as exc:
         raise _UsageError(f"circle loop spec needs {exc.args[0]!r}") from exc
-    samples = int(spec.get("samples", 4096))
+    try:
+        samples = int(spec.get("samples", 4096))
+    except OverflowError as exc:
+        raise _UsageError(f"loop samples must be finite: {exc}") from exc
     if samples > LOOP_MAX_SAMPLES:
         raise _UsageError(
             f"loop samples {samples} exceed the cap of {LOOP_MAX_SAMPLES}")

@@ -7,23 +7,24 @@ repeated roots found as clusters, and the per-component roots are zipped
 back into 4-component roots.  Because each projection is a ring
 homomorphism, any zipping of the component roots reproduces the
 polynomial, which is why a degree-m polynomial factors in many distinct
-ways; `enumerate_factorizations` walks them.  It keeps the pairings whose
-root multiset is closed under conjugation, searching depth first over the
-component orders and cutting every prefix whose projected roots cannot be
-closed.  The cut only drops pairings that the final check would reject,
-so the results are those of a walk over every pairing.  A fixed work
-budget bounds the search; past it, `EnumerationBudgetExceeded` is raised.
+ways; `enumerate_factorizations` walks them.
 
 Components along the real lines (all four hyperbolic lines, the polar
-v+ and v- lines) can have complex roots.  Such roots have no real Quad
-representation: they are returned as `ComplexQuad` values (conjugate
-pairs), and `pair_conjugates` regroups them so callers can render real
-quadratic factors.  Roots are joined with ``algebra_core._join``, the
-formulas of ``plane_join``, which take complex line entries as well, and
-each residual is evaluated per component and joined once.  Only
-`reconstruct` and `quadratic_factor` run complexified products, on the
-same kernels as ``mul`` (``algebra_core._MUL``), which take complex
-components as well.
+v+ and v- lines) can have complex roots, which come in exact conjugate
+pairs.  A root with a complex line entry has no real Quad representation:
+it is returned as a `ComplexQuad`.  A zipping is a real factorization
+when its roots split into real roots and pairs such that, on every line,
+the two entries of a pair are a conjugate pair or two reals (plane
+entries are free): each such pair has the real quadratic factor
+(u - r)(u - r') = u**2 - s u + q, and `pair_conjugates` regroups the
+roots into these pairs so callers can render real factors.  `factor`
+builds one real factorization from each line's conjugate pairs, and
+`enumerate_factorizations` keeps only real ones.  Roots are joined with
+``algebra_core._join``, the formulas of ``plane_join``, which take
+complex line entries as well, and each residual is evaluated per
+component and joined once.  Only `reconstruct` and the quadratic factors
+run complexified products, on the same kernels as ``mul``
+(``algebra_core._MUL``), which take complex components as well.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "enumerate_factorizations",
     "reconstruct",
     "pair_conjugates",
+    "quadratic_factor",
 ]
 
 # Root finding: the sweep cap, c*eps of the stop, start directions per degree.
@@ -65,12 +67,8 @@ _SWEEP_CAP = 500
 _STOP = 4.0 * 2.0 ** -52
 _DIRECTIONS: dict[int, list[complex]] = {}
 _REAL_SNAP = 1e-8
-# Enumeration: the work budget in visits, the prefix test's relative
-# tolerance (see enumerate_factorizations) and the root size above which
-# the join may overflow and nothing is cut.
+# Enumeration: the work budget in visits.
 _MAX_VISITS = 100_000
-_PAIR_TOL = 1e-6
-_PRUNE_LIMIT = 1e300
 
 
 class NoConvergence(QuadfieldError):
@@ -256,35 +254,24 @@ def _clusters(centre: list[complex], radius: list[float]) -> list[list[int]]:
 
 def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
     """Clean roots of a real-coefficient polynomial: snap near-real roots
-    to the real axis and force the rest into exact conjugate pairs."""
+    to the real axis and force the rest into exact conjugate pairs.
+
+    In index order, each complex root pairs with the unpaired complex
+    root nearest its conjugate (the first of equals); a lone complex root
+    is left as found.
+    """
     scale_ref = max(1.0, max((abs(r) for r in roots), default=0.0))
-    snapped = [complex(r.real, 0.0) if abs(r.imag) <= _REAL_SNAP * scale_ref else r
-               for r in roots]
-    out: list[complex | None] = [None] * len(snapped)
-    used: set[int] = set()
-    for i, r in enumerate(snapped):
-        if i in used:
-            continue
-        used.add(i)
-        if r.imag == 0.0:
-            out[i] = r
-            continue
-        partner = None
-        best = math.inf
-        for j in range(len(snapped)):
-            if j in used or snapped[j].imag == 0.0:
-                continue
-            d = abs(snapped[j] - r.conjugate())
-            if d < best:
-                best, partner = d, j
-        if partner is None:
-            out[i] = r  # lone complex root: leave as found
-            continue
-        used.add(partner)
-        avg = (r + snapped[partner].conjugate()) / 2.0
-        out[i] = avg
-        out[partner] = avg.conjugate()
-    return out  # type: ignore[return-value]
+    out = [complex(r.real, 0.0) if abs(r.imag) <= _REAL_SNAP * scale_ref else r
+           for r in roots]
+    free = [i for i, r in enumerate(out) if r.imag]
+    while len(free) > 1:
+        i = free.pop(0)
+        r = out[i]
+        j = min(free, key=lambda j: abs(out[j] - r.conjugate()))
+        free.remove(j)
+        avg = (r + out[j].conjugate()) / 2.0
+        out[i], out[j] = avg, avg.conjugate()
+    return out
 
 
 def _as_root(kind: AlgebraKind, comps: tuple):
@@ -345,11 +332,55 @@ def _assemble(p: Poly, component_orders: tuple[tuple[complex, ...], ...],
     return Factorization(tuple(roots), residual, multiplicities)
 
 
+def _conjugates_first(lst: list[complex]) -> list[int] | None:
+    """Indices into a line's sorted roots: its conjugate pairs (a - ib,
+    a + ib) in the order of a + ib, then its reals; None when some
+    complex root has no exact conjugate."""
+    upper = [i for i, z in enumerate(lst) if z.imag > 0]
+    lower = sorted((i for i, z in enumerate(lst) if z.imag < 0),
+                   key=lambda i: (lst[i].real, -lst[i].imag))
+    if [lst[i] for i in upper] != [lst[i].conjugate() for i in lower]:
+        return None
+    return ([i for pair in zip(lower, upper) for i in pair]
+            + [i for i, z in enumerate(lst) if not z.imag])
+
+
+def _paired_orders(lists: list[list[complex]], planes) -> list[list[complex]]:
+    """The sorted component roots, rearranged so that zipped they form a
+    real factorization.
+
+    The first line keeps its sorted order, and so does every plane.  Its
+    conjugate pairs and then pairs of its reals give C pair places, C the
+    most conjugate pairs on any line (2C <= m); every other line puts its
+    conjugate pairs into these places first, then two reals into each
+    place left, and its other reals, in order, into the first line's
+    remaining real places.  The lists are returned unchanged when some
+    line has a complex root without an exact conjugate or there are no
+    lines; where every line root is real nothing moves.
+    """
+    lines = [j for j, plane in enumerate(planes) if not plane]
+    firsts = [_conjugates_first(lists[j]) for j in lines]
+    if not firsts or None in firsts:
+        return lists
+    places = firsts[0]
+    out = list(lists)
+    for j, picks in zip(lines, firsts):
+        order = [0j] * len(places)
+        for place, i in zip(places, picks):
+            order[place] = lists[j][i]
+        out[j] = order
+    return out
+
+
 def factor(p: Poly) -> Factorization:
     """Canonical factorization: component roots sorted by (re, im), zipped.
 
+    Where a line has complex roots, the line roots are rearranged
+    (`_paired_orders`) so that the roots split into real roots and pairs
+    with real quadratic factors (see `pair_conjugates`).
     `multiplicities` holds, per component in `_NODAL_SETS` order, the
-    multiplicity of each component root; a k-fold root appears k times.
+    multiplicity of each component root in the order zipped; a k-fold
+    root appears k times.
 
     Raises:
         NoConvergence: the iteration stalled or overflowed on some component.
@@ -358,133 +389,53 @@ def factor(p: Poly) -> Factorization:
         raise ValueError("factorization needs degree >= 1")
     comp_coeffs = _component_coeffs(p)
     lists = _component_root_lists(p, comp_coeffs)
+    planes = _IS_PLANE[p.kind]
+    if any(z.imag for lst, plane in zip(lists, planes) if not plane
+           for z in lst):
+        lists = _paired_orders(lists, planes)
     return _assemble(p, tuple(map(tuple, lists)), comp_coeffs,
                      tuple(tuple(map(lst.count, lst)) for lst in lists))
 
 
-def _closed_key(roots):
-    """The rounded root multiset, or None when it is not closed under
-    componentwise conjugation.
-
-    Each root is keyed by its components' real and imaginary parts rounded
-    to 9 decimals; the sorted keys identify a factorization up to order.
-    """
-    keys = sorted(
+def _key(roots):
+    """The roots' components, real and imaginary parts rounded to 9
+    decimals, sorted: a factorization up to the order of its roots."""
+    return tuple(sorted(
         tuple((round(complex(c).real, 9), round(complex(c).imag, 9))
               for c in r.components)
         for r in roots
-    )
-    conj_keys = sorted(
-        tuple((re, -im) for re, im in key) for key in keys
-    )
-    return tuple(keys) if keys == conj_keys else None
-
-
-def _pairing_masks(values: list[complex], line: bool, tol: float) -> list[int]:
-    """Bit b of entry a is set when values[b] lies within tol of the
-    conjugate of values[a] (a line) or of values[a] itself (a plane), in
-    both the real and the imaginary part."""
-    masks = []
-    for a in values:
-        target = a.conjugate() if line else a
-        mask = 0
-        for b, v in enumerate(values):
-            if abs(v.real - target.real) <= tol and abs(v.imag - target.imag) <= tol:
-                mask |= 1 << b
-        masks.append(mask)
-    return masks
-
-
-def _narrow(rows: list[int], masks: list[int], perm: tuple[int, ...]):
-    """Add one component, in order `perm`, to the pairing candidates.
-
-    Bit k of rows[i] says root k may be the conjugate of root i on the
-    components so far; it survives when the new component agrees too.
-    Returns None as soon as some root is left without a candidate.
-    """
-    out = []
-    for i, row in enumerate(rows):
-        ok = masks[perm[i]]
-        kept = 0
-        while row:
-            low = row & -row
-            if ok >> perm[low.bit_length() - 1] & 1:
-                kept |= low
-            row ^= low
-        if not kept:
-            return None
-        out.append(kept)
-    return out
-
-
-def _matchable(rows: list[int]) -> bool:
-    """True when some permutation sends every root i to a root k whose bit
-    is set in rows[i] (a perfect matching, by augmenting paths)."""
-    owner = [-1] * len(rows)
-    seen = 0
-
-    def augment(i: int) -> bool:
-        nonlocal seen
-        free = rows[i] & ~seen
-        while free:
-            low = free & -free
-            seen |= low
-            k = low.bit_length() - 1
-            if owner[k] < 0 or augment(owner[k]):
-                owner[k] = i
-                return True
-            free = rows[i] & ~seen
-        return False
-
-    for i in range(len(rows)):
-        seen = 0
-        if not augment(i):
-            return False
-    return True
+    ))
 
 
 def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
-    """Distinct factorizations from re-pairing component roots.
+    """Distinct real factorizations from re-pairing component roots.
 
     The first component's (sorted) order is pinned; the remaining
-    components' root orders are permuted.  Results are deduplicated by
-    rounded root multisets, restricted to conjugate-closed root sets
-    (so complex roots always pair), and cut off at `cap`.
+    components' root orders are permuted.  A pairing is kept when its
+    roots split into real roots and pairs that are, on every line, an
+    exact conjugate pair or two reals (plane entries are free), so that
+    each pair is a real quadratic factor.  Results are deduplicated by
+    the roots' components rounded to 9 decimals, and cut off at `cap`.
 
     The pairings are walked depth first, one component at a time, in the
     order of ``itertools.product`` over ``itertools.permutations`` of each
     component after the first (the last component varies fastest).  A
-    prefix (components 0..j in their chosen orders) is cut when its root
-    tuples cannot be closed under conjugation: conjugation acts on the
-    join as conjugating every line entry and keeping every plane entry,
-    since the join puts a plane value's real and imaginary parts
-    into real components.  Closure of the full root multiset implies
-    closure of every such projection, so only leaves that the exact check
-    would reject are cut, and the list returned is the one the exhaustive
-    walk over every pairing returns: the same roots, residuals and order.
-
-    The prefix test allows a tolerance tol = 1e-6 * max(1, M), M the
-    largest |component root|.  It never cuts a leaf that the 9-decimal
-    key accepts: an accepted leaf has a permutation pi with key(r_pi(i))
-    = conj key(r_i).  Equal rounded parts differ by at most 1e-9 plus two
-    ulps, and `_as_root` drops imaginary parts up to 1e-8 * S on either
-    side, S = max(1, largest |joined component|) <= sqrt(2) * max(1, M)
-    up to rounding (the planar join reaches sqrt(2) * M; the others stay
-    within M).  So each real scalar of the joined roots satisfies
-    |J_pi(i) - conj J_i| <= 1e-9 + 2.9e-8 * max(1, M) + O(ulp * M).
-    The exact inverse of the join has row sums of at most 4 in every kind
-    and maps conj J to the conjugation of the component tuple, and the
-    join's own rounding adds a few ulps of M.  Each real scalar of the
-    component tuples then obeys |C_pi(i) - conj C_i| <= 4e-9 + 1.2e-7 *
-    max(1, M) + O(ulp * M) < 1.3e-7 * max(1, M), under a seventh of tol,
-    and the prefix test finds pi (it checks for any such permutation, by
-    matching).  When M is not finite or near the top of the double range,
-    where the join may overflow, nothing is cut.
+    prefix is cut as soon as the line columns chosen so far admit no such
+    pairs.  Root i's row holds its line entries so far, each real entry
+    replaced by 0; roots i and k can pair exactly when row k is the
+    conjugate of row i, so the pairs exist when the rows, as a multiset,
+    are closed under conjugation.  The test is exact, since the line roots
+    are exact conjugates or exactly real (`_symmetrize_conjugates`), and
+    only gets stricter as lines are added.  Planes, and lines whose roots
+    are all real, add nothing to the rows and cut nothing.  A prefix that
+    passes always extends to a leaf: a line with c conjugate pairs has
+    2c <= m, so its pairs fit into the prefix's pairs plus new pairs of
+    roots that are real so far.
 
     An order that puts two equal roots of a component out of index order
     is skipped: it gives the same root values as the earlier order that
     keeps them in index order, hence the same prefix test and the same
-    leaves, each a duplicate or rejected there.
+    leaves, each a duplicate there.
 
     The work is bounded by a budget of 100,000 visits (`_MAX_VISITS`).
     A visit is one component order generated under a prefix (tested, or
@@ -501,14 +452,12 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
     comp_coeffs = _component_coeffs(p)
     lists = _component_root_lists(p, comp_coeffs)
     m = p.degree
-    full = (1 << m) - 1
-    scale = max((abs(v) for lst in lists for v in lst), default=0.0)
-    if scale < _PRUNE_LIMIT:
-        tol = _PAIR_TOL * max(1.0, scale)
-        masks = [_pairing_masks(lst, not plane, tol)
-                 for lst, plane in zip(lists, _IS_PLANE[p.kind])]
-    else:  # not finite, or the join may overflow: cut nothing
-        masks = [[full] * m for _ in lists]
+    # Per component, the (re, im) row entries the prefix test appends and
+    # their conjugates; None where it appends nothing.
+    marks = [None if plane or not any(z.imag for z in lst) else
+             ([(z.real, z.imag) if z.imag else (0.0, 0.0) for z in lst],
+              [(z.real, -z.imag) if z.imag else (0.0, 0.0) for z in lst])
+             for lst, plane in zip(lists, _IS_PLANE[p.kind])]
     # Per component, each k whose root equals root k + 1 (the lists are
     # sorted, so equal roots are adjacent).
     ties = [[k for k in range(m - 1) if lst[k] == lst[k + 1]] for lst in lists]
@@ -526,28 +475,32 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
                 f"with {len(out)} of cap={cap} factorizations found")
         visits += 1
 
-    def descend(j: int, rows: list[int]) -> bool:
+    def descend(j: int, rows: list[tuple], conj_rows: list[tuple]) -> bool:
         """Walk component j's orders under a prefix; True once cap is met."""
         orders = [tuple(range(m))] if j == 0 else itertools.permutations(range(m))
-        tie = ties[j]
+        mark, tie = marks[j], ties[j]
         for perm in orders:
             visit()
             if tie and any(perm.index(k) > perm.index(k + 1) for k in tie):
                 continue   # repeats the leaves of an earlier order
-            narrowed = _narrow(rows, masks[j], perm)
-            if narrowed is None or not _matchable(narrowed):
-                continue
+            grown, conj_grown = rows, conj_rows
+            if mark:
+                grown = [row + mark[0][i] for row, i in zip(rows, perm)]
+                conj_grown = [row + mark[1][i]
+                              for row, i in zip(conj_rows, perm)]
+                if sorted(grown) != sorted(conj_grown):
+                    continue
             chosen[j] = perm
             if j + 1 < depth:
-                if descend(j + 1, narrowed):
+                if descend(j + 1, grown, conj_grown):
                     return True
                 continue
             visit()
             fact = _assemble(p, tuple(tuple(lst[i] for i in order)
                                       for lst, order in zip(lists, chosen)),
                              comp_coeffs)
-            key = _closed_key(fact.roots)
-            if key is None or key in seen:
+            key = _key(fact.roots)
+            if key in seen:
                 continue
             seen.add(key)
             out.append(fact)
@@ -555,7 +508,7 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
                 return True
         return False
 
-    descend(0, [full] * m)
+    descend(0, [()] * m, [()] * m)
     return out
 
 
@@ -579,52 +532,51 @@ def reconstruct(f: Factorization, kind: AlgebraKind) -> Poly:
         if any(abs(complex(v).imag) > _REAL_SNAP * scale_ref for v in c):
             raise ValueError(
                 f"reconstruction coefficient {i} is not real: {c!r} "
-                "(root multiset is not conjugate-closed)"
+                "(some complex root lacks a conjugate partner)"
             )
         quads.append(Quad(kind, *(complex(v).real for v in c)))
     return Poly(kind, tuple(quads))
 
 
+def _quadratic(r, r2, kind: AlgebraKind):
+    """The complex (s, q) with (u - r)(u - r2) = u**2 - s u + q."""
+    return (tuple(a + b for a, b in zip(r.components, r2.components)),
+            _MUL[kind](*r.components, *r2.components))
+
+
 def pair_conjugates(f: Factorization):
     """Group roots into (real_roots, conjugate_pairs, unpaired_complex).
 
-    Conjugate pairs expand to real quadratic factors
-    u**2 - (r + conj r) u + r * conj r; unpaired complex roots (possible
-    only for non-conjugate-closed pairings) are returned as-is.
+    Each complex root pairs with the first later unpaired complex root
+    whose quadratic u**2 - s u + q with it is real: every imaginary part
+    of s and q is within 1e-7 of max(1, their largest modulus).  A
+    componentwise conjugate always qualifies.
+    A pair expands to the real quadratic factor `quadratic_factor`
+    returns.  Complex roots left without such a partner (possible only
+    for pairings that are not real factorizations) are returned as-is.
     """
     real_roots = [r for r in f.roots if isinstance(r, Quad)]
     complexes = [r for r in f.roots if isinstance(r, ComplexQuad)]
     pairs = []
     leftovers: list[ComplexQuad] = []
-    used = [False] * len(complexes)
-    for i, r in enumerate(complexes):
-        if used[i]:
-            continue
-        used[i] = True
-        conj = r.conjugate()
-        match = None
-        for j in range(i + 1, len(complexes)):
-            if used[j]:
-                continue
-            gap = max(abs(a - b) for a, b in
-                      zip(complexes[j].components, conj.components))
-            if gap <= 1e-7 * max(1.0, max(abs(c) for c in conj.components)):
-                match = j
+    while complexes:
+        r = complexes.pop(0)
+        for j, r2 in enumerate(complexes):
+            s, q = _quadratic(r, r2, r.kind)
+            values = (*s, *q)
+            tol = 1e-7 * max(1.0, max(map(abs, values)))
+            if all(abs(v.imag) <= tol for v in values):
+                pairs.append((r, complexes.pop(j)))
                 break
-        if match is None:
-            leftovers.append(r)
         else:
-            used[match] = True
-            pairs.append((r, complexes[match]))
+            leftovers.append(r)
     return real_roots, pairs, leftovers
 
 
 def quadratic_factor(pair: tuple[ComplexQuad, ComplexQuad],
                      kind: AlgebraKind) -> tuple[Quad, Quad]:
-    """(s, q) with (u - r)(u - conj r) = u**2 - s u + q, both real."""
-    r, rbar = pair
-    mulc = _MUL[kind]
-    s = tuple(a + b for a, b in zip(r.components, rbar.components))
-    q = mulc(*r.components, *rbar.components)
+    """(s, q) with (u - r)(u - r') = u**2 - s u + q, both real, for a pair
+    (r, r') from `pair_conjugates`."""
+    s, q = _quadratic(*pair, kind)
     return (Quad(kind, *(complex(v).real for v in s)),
             Quad(kind, *(complex(v).real for v in q)))

@@ -10,8 +10,8 @@ import pytest
 
 import quadfield
 from quadfield import AlgebraKind, Quad, cosexp, exp_form, expform_to_dict, f4
+from quadfield import polynomial
 from quadfield.cli import COSEXP_MAX_ROWS, LOOP_MAX_SAMPLES, main
-from quadfield.polynomial import _MAX_VISITS
 
 # The directory the tests import quadfield from, so that a child process
 # runs the same package, installed or not.
@@ -408,22 +408,35 @@ class TestFactor:
                                 "--coeffs", "[1,[1,2]]")
         assert code == 1 and "4-element" in err
 
-    def test_enumeration_budget_is_json_error_exit_2(self):
-        # polar u^8 + 1: no conjugate-closed pairing exists, and the walk
-        # over the 8!**2 orders of the other two components stops at the
-        # default budget
-        cp = run_pkg("factor", "--kind", "polar",
-                     "--coeffs", "[1,0,0,0,0,0,0,0,1]", "--enumerate", "3")
-        assert cp.returncode == 2, cp.stderr
-        assert "Traceback" not in cp.stderr
-        error = json.loads(cp.stdout)
+    def test_enumeration_budget_is_json_error_exit_2(self, capsys,
+                                                     monkeypatch):
+        # polar u^8 + 1: the pinned v+ order, the first v- order and the
+        # first mu+ order use the budget, lowered here, before the first
+        # leaf is assembled
+        monkeypatch.setattr(polynomial, "_MAX_VISITS", 3)
+        code, out, err = run_main(capsys, "factor", "--kind", "polar",
+                                  "--coeffs", "[1,0,0,0,0,0,0,0,1]",
+                                  "--enumerate", "3")
+        assert code == 2, err
+        assert "Traceback" not in err
+        error = json.loads(out)
         assert error["error"] == "EnumerationBudgetExceeded"
-        assert f"budget of {_MAX_VISITS} visits" in error["message"]
+        assert f"budget of {polynomial._MAX_VISITS} visits" in error["message"]
 
     def test_enumerate_must_be_positive(self, capsys):
         code, _, err = run_main(capsys, "factor", "--kind", "circular",
                                 "--coeffs", "[1,0,1]", "--enumerate", "0")
         assert code == 1
+
+    def test_enumerate_is_checked_before_factoring(self, capsys):
+        # factoring this polynomial overflows (exit 2); the bad --enumerate
+        # is reported first
+        code, out, err = run_main(
+            capsys, "factor", "--kind", "circular", "--coeffs",
+            "[1, [0.75e308, 0.75e308, 0.75e308, 0.75e308]]",
+            "--enumerate", "0")
+        assert code == 1 and out == ""
+        assert "--enumerate must be >= 1" in err
 
 
 class TestIntegrate:
@@ -547,6 +560,14 @@ class TestIntegrate:
                                   "--pole", "0,0,0,0")
         assert code == 1 and out == ""
         assert "usage error" in err and str(LOOP_MAX_SAMPLES) in err
+
+    def test_infinite_samples_is_usage_error(self):
+        # JSON reads 1e400 as infinity, which has no integer value
+        cp = run_pkg("integrate", "--kind", "circular", "--integrand", "pole",
+                     "--pole", "0,0,0,0", "--loop",
+                     '{"center":[0,0,0,0],"radius":0.5,"samples":1e400}')
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert "usage error" in cp.stderr and "Traceback" not in cp.stderr
 
 
 class TestCosexp:

@@ -104,8 +104,8 @@ def test_factor_roots_and_residual_match_the_former_assembly(kind, data):
         got = factor(p)
     except NoConvergence:
         assume(False)
-    lists = polynomial._component_root_lists(
-        p, polynomial._component_coeffs(p))
+    lists = polynomial._paired_orders(polynomial._component_root_lists(
+        p, polynomial._component_coeffs(p)), _IS_PLANE[kind])
     comps = [O._join_components(kind, tuple(lst[i] for lst in lists))
              for i in range(p.degree)]
     assert got.roots == tuple(polynomial._as_root(kind, c) for c in comps)

@@ -3,9 +3,10 @@
 import cmath
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import enumerate_oracle
@@ -299,22 +300,23 @@ class TestConjugatePairs:
         assert max_abs_diff(s, zero(kind)) < 1e-12   # u^2 - 0u + 1
         assert max_abs_diff(q, one(kind)) < 1e-12
 
-    def test_polar_quartic_leftovers(self):
-        # u^4 - 1 over polar: the distinguished-plane root bound to each
-        # +-i line root is consumed once, so no componentwise-conjugate
-        # partner exists; the complex roots come back unpaired but the
-        # per-line closure still reconstructs real coefficients
+    def test_polar_quartic_pairs(self):
+        # u^4 - 1 over polar: the v+ and v- lines each have the roots
+        # -1, 1 and +-i, and the distinguished plane the fourth roots of 1;
+        # the real factorization is (u + 1)(u - 1)(u^2 + 1)
         kind = AlgebraKind.POLAR
         p = upoly(kind, 0.0, 0.0, 0.0, -1.0)
         f = factor(p)
         assert len(f.roots) == 4
         assert f.residual < 1e-10
         reals, pairs, leftovers = pair_conjugates(f)
-        assert len(reals) == 2 and not pairs and len(leftovers) == 2
+        assert len(reals) == 2 and len(pairs) == 1 and not leftovers
         assert sorted(r.components for r in reals) == [
             (-1, 0, 0, 0), (1, 0, 0, 0)]
+        s, q = quadratic_factor(pairs[0], kind)
+        assert max_abs_diff(s, zero(kind)) < 1e-12
+        assert max_abs_diff(q, one(kind)) < 1e-12
         assert coeffs_close(reconstruct(f, kind), p, 1e-8)
-        assert enumerate_factorizations(p) == []
 
     def test_polar_quadratic_with_conjugate_pair(self):
         # v-line components l^2+1 (roots +-i), distinguished plane (w-1)^2:
@@ -455,10 +457,28 @@ class TestPrunedEnumeration:
             for cap in (1, 3, 100):
                 assert_same_results(*enumerations(p, cap))
 
-    def test_polar_quartic_stays_empty(self):
-        p = upoly(AlgebraKind.POLAR, 0.0, 0.0, 0.0, -1.0)
+    @pytest.mark.parametrize("kind", (HYPERBOLIC, AlgebraKind.POLAR))
+    def test_matches_brute_force_on_repeated_conjugate_pairs(self, kind):
+        # (u^2 + 1)^2 and (u^2 + 1)(u^2 + 4) at every cap; (u^2 + 1)^2 (u - 1)
+        # only at caps the brute force reaches early
+        for tail, caps in (((0.0, 2.0, 0.0, 1.0), (1, 3, 100)),
+                           ((0.0, 5.0, 0.0, 4.0), (1, 3, 100)),
+                           ((-1.0, 2.0, -2.0, 1.0, -1.0), (1, 3))):
+            p = upoly(kind, *tail)
+            for cap in caps:
+                got, want = enumerations(p, cap)
+                assert want
+                assert_same_results(got, want)
+
+    def test_polar_quartic_has_real_factorizations(self):
+        kind = AlgebraKind.POLAR
+        p = upoly(kind, 0.0, 0.0, 0.0, -1.0)
         got, want = enumerations(p, 100)
-        assert got == want == []
+        assert got
+        assert_same_results(got, want)
+        for f in got:
+            assert not pair_conjugates(f)[2]
+            assert coeffs_close(reconstruct(f, kind), p, 1e-8)
 
 
 class TestEnumerationBudget:
@@ -507,3 +527,72 @@ class TestEnumerationBudget:
         monkeypatch.setattr(polynomial, "_MAX_VISITS", 22)
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_factorizations(p)
+
+
+# -- real factorizations: real roots and pairs with real quadratics -----------
+
+def line_roots_conjugate_closed(p):
+    """True when no line has a complex root without its conjugate."""
+    lists = polynomial._component_root_lists(p,
+                                             polynomial._component_coeffs(p))
+    return all(Counter(lst) == Counter(z.conjugate() for z in lst)
+               for lst, plane in zip(lists, _IS_PLANE[p.kind]) if not plane)
+
+
+class TestRealFactorizations:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from((HYPERBOLIC, AlgebraKind.POLAR)),
+           degree=st.integers(1, 4))
+    def test_factor_and_enumeration_pair_every_complex_root(self, data,
+                                                            kind, degree):
+        tail = data.draw(st.lists(quads(kind), min_size=degree,
+                                  max_size=degree))
+        p = Poly(kind, (one(kind), *tail))
+        try:
+            assume(line_roots_conjugate_closed(p))
+            facts = [factor(p), *enumerate_factorizations(p, 5)]
+        except NoConvergence:
+            assume(False)
+        for f in facts:
+            assert pair_conjugates(f)[2] == []
+            assert coeffs_close(reconstruct(f, kind), p, 1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(KINDS),
+           degree=st.integers(1, 6))
+    def test_factor_is_the_sorted_zip_where_line_roots_are_real(self, data,
+                                                                kind, degree):
+        roots = data.draw(st.lists(quads(kind), min_size=degree,
+                                   max_size=degree))
+        p = reconstruct(Factorization(tuple(roots), 0.0), kind)
+        comp_coeffs = polynomial._component_coeffs(p)
+        try:
+            lists = polynomial._component_root_lists(p, comp_coeffs)
+        except NoConvergence:
+            assume(False)
+        assume(not any(z.imag for lst, plane in zip(lists, _IS_PLANE[kind])
+                       if not plane for z in lst))
+        want = polynomial._assemble(p, tuple(map(tuple, lists)), comp_coeffs)
+        got = factor(p)
+        assert got.roots == want.roots
+        assert got.residual.hex() == want.residual.hex()
+
+    def test_multiplicities_follow_the_zipped_order(self):
+        # line 0 has the roots -5 and +-i, line 1 the roots 3, 3 and 7:
+        # the pair keeps the places of +-i on line 0, so line 1 zips as
+        # 7, 3, 3
+        roots = (line_root((-5.0, 7.0, 0.0, 0.0)),
+                 line_root((1j, 3.0, 1.0, 1.0)),
+                 line_root((-1j, 3.0, 2.0, 2.0)))
+        p = reconstruct(Factorization(roots, 0.0), HYPERBOLIC)
+        f = factor(p)
+        assert f.multiplicities == ((1, 1, 1), (1, 2, 2), (1, 1, 1),
+                                    (1, 1, 1))
+        reals, pairs, leftovers = pair_conjugates(f)
+        assert len(reals) == 1 and len(pairs) == 1 and not leftovers
+        assert coeffs_close(reconstruct(f, HYPERBOLIC), p, 1e-12)
+
+    def test_lone_complex_line_root_keeps_the_sorted_lists(self):
+        lists = [[-1j, 2.0, 3.0], [1j, 2.0, 3.0]]
+        assert polynomial._paired_orders(lists, (False, False)) is lists

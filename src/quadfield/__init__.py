@@ -21,11 +21,8 @@ __version__ = "0.1.0"
 # Home module of every public name that is not in algebra_core.
 _LAZY = {
     "calculus": (
-        "ConvergenceBounds", "DegenerateSeries", "Loop", "NearBoundaryWarning",
-        "OnBoundary", "SeriesSpec", "SingularOnPath", "WindingQuery",
-        "check_analytic", "check_second_order", "convergence_bounds",
-        "eval_series", "eval_series_canonical", "integrate_loop",
-        "residue_prediction", "winding",
+        "Loop", "NearBoundaryWarning", "OnBoundary", "SingularOnPath",
+        "WindingQuery", "integrate_loop", "residue_prediction", "winding",
     ),
     "canonical": (
         "CANONICAL_BASES", "ExpForm", "TrigForm", "canonical_mul", "exp_form",
@@ -44,6 +41,11 @@ _LAZY = {
         "ComplexQuad", "EnumerationBudgetExceeded", "Factorization",
         "NoConvergence", "Poly", "enumerate_factorizations", "eval_poly",
         "factor", "pair_conjugates", "quadratic_factor", "reconstruct",
+    ),
+    "series": (
+        "ConvergenceBounds", "DegenerateSeries", "SeriesSpec",
+        "check_analytic", "check_second_order", "convergence_bounds",
+        "eval_series",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

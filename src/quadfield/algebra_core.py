@@ -37,7 +37,6 @@ one kind -> kernel table (``_MUL``, ``_SPLIT``, ``_JOIN``, ``_QUARTIC``);
 from __future__ import annotations
 
 import enum
-import json
 import math
 
 from . import _kernels_py as _impl
@@ -268,8 +267,8 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -571,8 +570,10 @@ def quad_from_dict(d: dict) -> Quad:
 
 def quad_to_json(u: Quad) -> str:
     """Compact JSON; float repr round-trips bit-for-bit."""
+    import json
     return json.dumps(quad_to_dict(u), separators=(",", ":"))
 
 
 def quad_from_json(s: str) -> Quad:
+    import json
     return quad_from_dict(json.loads(s))

@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage errors, 2 domain errors (the error is
 printed as a one-line JSON object so scripts can parse it).  Asking for
 a cosexp table past ``COSEXP_MAX_ROWS`` rows, or an ``integrate --loop``
 circle past ``LOOP_MAX_SAMPLES`` samples, is a usage error; a circle's
-``samples`` only caps its adaptive quadrature.  The env var
-QUADFIELD_TOL overrides the default singularity tolerance.
+``samples`` only caps the adaptive quadrature of one turn, and its
+``turns`` (a JSON integer other than 0, default 1) multiplies it.  The
+env var QUADFIELD_TOL overrides the default singularity tolerance.
 """
 
 from __future__ import annotations
@@ -235,6 +236,10 @@ def _parse_loop(kind: AlgebraKind, text: str):
     if samples > LOOP_MAX_SAMPLES:
         raise _UsageError(
             f"loop samples {samples} exceed the cap of {LOOP_MAX_SAMPLES}")
+    turns = spec.get("turns", 1)
+    if turns.__class__ is not int or turns == 0:
+        raise _UsageError(f"loop turns must be a JSON integer other than 0, "
+                          f"got {turns!r}")
     return Loop.circle(
         center,
         radius,
@@ -242,6 +247,7 @@ def _parse_loop(kind: AlgebraKind, text: str):
         samples=samples,
         psi=float(spec.get("psi", math.pi / 4.0)),
         fixed_angle=float(spec.get("fixed_angle", 0.0)),
+        turns=turns,
     )
 
 
@@ -348,77 +354,80 @@ def _cmd_matrix(args) -> str:
 
 # -- parser ------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+# name -> (help, handler, formats, arguments), in the order --help lists
+# them.  With formats, --kind, --format (default the first) and --digits
+# come before the subcommand's own arguments.
+_COMMANDS = {
+    "eval": ("arithmetic on quads", _cmd_eval, ("text", "json", "csv"), (
+        ("--op", dict(required=True,
+                      choices=["add", "sub", "mul", "inverse", "pow",
+                               "amplitude", "modulus", "singularity"])),
+        ("--a", dict(required=True, help="quad as x,y,z,t")),
+        ("--b", dict(help="second quad for binary ops")),
+        ("--m", dict(type=int, help="exponent for --op pow")),
+    )),
+    "expform": ("exponential form to/from JSON", _cmd_expform, ("text", "json"), (
+        ("--u", dict(help="quad to convert to exponential form")),
+        ("--json", dict(help="exponential-form JSON to convert back")),
+    )),
+    "factor": ("factor a monic polynomial", _cmd_factor, ("json",), (
+        ("--coeffs", dict(required=True,
+                          help="JSON list, leading first; entries are numbers "
+                               "or [x,y,z,t] lists")),
+        ("--enumerate", dict(type=int,
+                             help="also list up to N distinct factorizations")),
+    )),
+    "integrate": ("loop integral vs closed-form residue prediction",
+                  _cmd_integrate, ("json",), (
+        ("--loop", dict(required=True,
+                        help='JSON: {"points": [...]} or circle spec '
+                             '{"plane","center","radius","samples" (a cap),'
+                             '"turns"}')),
+        ("--integrand", dict(required=True,
+                             choices=["pole", "pole_m", "square", "exp"])),
+        ("--pole", dict(required=True, help="pole / offset quad x,y,z,t")),
+        ("--coeff", dict(help="numerator quad, default 1")),
+        ("--m", dict(type=int, help="pole order for pole_m")),
+    )),
+    "cosexp": ("table of cosexponential functions", _cmd_cosexp, None, (
+        ("--family", dict(required=True,
+                          help="f (planar family) or g (polar family)")),
+        ("--from", dict(dest="start", type=float, required=True)),
+        ("--to", dict(dest="stop", type=float, required=True)),
+        ("--step", dict(type=float, required=True)),
+        ("--format", dict(default="csv", choices=("csv", "json"))),
+        ("--digits", dict(type=int, default=9)),
+    )),
+    "matrix": ("matrix representation and blocks", _cmd_matrix, ("text", "json"), (
+        ("--u", dict(required=True, help="quad as x,y,z,t")),
+    )),
+}
+
+
+def _build_parser(names=tuple(_COMMANDS)) -> _Parser:
+    """The parser with the subcommands `names` (all by default)."""
     parser = _Parser(prog="quadfield",
                      description="Four-dimensional commutative hypercomplex "
                                  "arithmetic, forms, residues and factoring.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_choices=("text", "json", "csv")):
-        p.add_argument("--kind", required=True, choices=_KIND_CHOICES)
-        p.add_argument("--format", default="text", choices=fmt_choices)
-        p.add_argument("--digits", type=int, default=9)
-
-    p = sub.add_parser("eval", help="arithmetic on quads")
-    common(p)
-    p.add_argument("--op", required=True,
-                   choices=["add", "sub", "mul", "inverse", "pow",
-                            "amplitude", "modulus", "singularity"])
-    p.add_argument("--a", required=True, help="quad as x,y,z,t")
-    p.add_argument("--b", help="second quad for binary ops")
-    p.add_argument("--m", type=int, help="exponent for --op pow")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("expform", help="exponential form to/from JSON")
-    common(p, ("text", "json"))
-    p.add_argument("--u", help="quad to convert to exponential form")
-    p.add_argument("--json", help="exponential-form JSON to convert back")
-    p.set_defaults(handler=_cmd_expform)
-
-    p = sub.add_parser("factor", help="factor a monic polynomial")
-    common(p, ("json",))
-    p.set_defaults(format="json")
-    p.add_argument("--coeffs", required=True,
-                   help="JSON list, leading first; entries are numbers or "
-                        "[x,y,z,t] lists")
-    p.add_argument("--enumerate", type=int,
-                   help="also list up to N distinct factorizations")
-    p.set_defaults(handler=_cmd_factor)
-
-    p = sub.add_parser("integrate", help="loop integral vs closed-form "
-                                         "residue prediction")
-    common(p, ("json",))
-    p.set_defaults(format="json")
-    p.add_argument("--loop", required=True,
-                   help='JSON: {"points": [...]} or circle spec '
-                        '{"plane","center","radius","samples" (a cap)}')
-    p.add_argument("--integrand", required=True,
-                   choices=["pole", "pole_m", "square", "exp"])
-    p.add_argument("--pole", required=True, help="pole / offset quad x,y,z,t")
-    p.add_argument("--coeff", help="numerator quad, default 1")
-    p.add_argument("--m", type=int, help="pole order for pole_m")
-    p.set_defaults(handler=_cmd_integrate)
-
-    p = sub.add_parser("cosexp", help="table of cosexponential functions")
-    p.add_argument("--family", required=True,
-                   help="f (planar family) or g (polar family)")
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--digits", type=int, default=9)
-    p.set_defaults(handler=_cmd_cosexp)
-
-    p = sub.add_parser("matrix", help="matrix representation and blocks")
-    common(p, ("text", "json"))
-    p.add_argument("--u", required=True, help="quad as x,y,z,t")
-    p.set_defaults(handler=_cmd_matrix)
-
+    for name in names:
+        text, handler, formats, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        if formats:
+            p.add_argument("--kind", required=True, choices=_KIND_CHOICES)
+            p.add_argument("--format", default=formats[0], choices=formats)
+            p.add_argument("--digits", type=int, default=9)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the subcommand that runs; help and errors list them all.
+    named = argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    parser = _build_parser(named)
     try:
         args = parser.parse_args(argv)
         output = args.handler(args)

@@ -14,8 +14,8 @@ apply the ``cmath`` function on each complex plane and the ``math``
 function on each real line, join.  The component factorization
 exp(u) = e^x * exp(alpha y) * exp(beta z) * exp(gamma t) and the
 addition-theorem fold over per-unit tables are test oracles only and
-never run here.  log also works one plane at a time and takes every
-azimuthal angle in [0, 2*pi).
+never run here.  log and pow_real also work one plane at a time, and log
+takes every azimuthal angle in [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .algebra_core import (
     _Record,
     plane_join,
     plane_split,
-    scale,
 )
 
 __all__ = [
@@ -144,8 +143,9 @@ def cosexp_series(kind: CosexpKind, x: float, terms: int) -> float:
 
 # -- exp -------------------------------------------------------------------
 
-def _planewise(u: Quad, complex_fn, real_fn) -> Quad:
-    """Evaluate an analytic function on each split part of u and join.
+def _planewise(u: Quad, complex_fn, real_fn, parts=None) -> Quad:
+    """Evaluate an analytic function on each split part of u (or on its
+    ``parts``, split and checked by the caller) and join.
 
     Each plane map is a continuous unital ring homomorphism, so it carries
     any convergent power series in u to the same series in the part.
@@ -157,7 +157,7 @@ def _planewise(u: Quad, complex_fn, real_fn) -> Quad:
     try:
         return plane_join(u.kind, [
             complex_fn(p) if p.__class__ is complex else real_fn(p)
-            for p in plane_split(u)
+            for p in (plane_split(u) if parts is None else parts)
         ])
     except (OverflowError, ValueError):
         # math/cmath raise OverflowError; an infinite joined component
@@ -193,15 +193,21 @@ def log(u: Quad) -> Quad:
         DomainError: on or outside the kind's validity domain (same domain
             as exp_form).
     """
-    return plane_join(u.kind, [
-        _log_plane(p) if p.__class__ is complex else math.log(p)
-        for p in _domain_split(u, "log")
-    ])
+    return _planewise(u, _log_plane, math.log, _domain_split(u, "log"))
 
 
 def pow_real(u: Quad, n: float) -> Quad:
-    """u**n as exp(n * log u) on the log domain."""
-    return exp(scale(log(u), float(n)))
+    """u**n as exp(n * log u) one split part at a time: DomainError off
+    the log domain, ResultOverflow beyond the range of a double."""
+    n = float(n)
+    if not math.isfinite(n):
+        raise ValueError(f"exponent must be finite, got {n!r}")
+
+    def power(x: float) -> float:
+        return math.exp(n * math.log(x))
+
+    return _planewise(u, lambda w: cmath.exp(n * _log_plane(w)), power,
+                      _domain_split(u, "log"))
 
 
 # -- trigonometric / hyperbolic ----------------------------------------------

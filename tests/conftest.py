@@ -55,8 +55,11 @@ def random_quad(kind: AlgebraKind, rng: random.Random, span: float = 2.0) -> Qua
 
 
 def record_fields(record) -> tuple:
-    """A record's field values in ``__match_args__`` order."""
-    return tuple(getattr(record, name) for name in record.__match_args__)
+    """A record's field values in ``__match_args__`` order, as its
+    constructor takes them.  They are its attributes, except that a circle
+    ``Loop`` has the field ``points=None``: its ``points`` attribute is
+    built from the other fields."""
+    return record._values()
 
 
 def close(a: float, b: float, tol: float) -> bool:

@@ -5,7 +5,8 @@ and `canonical.from_exp_form` as they were before they ran on the split:
 the chord rule in 4-D `Quad` arithmetic, one join per circle sample
 with the fixed plane recomputed each time, and the exponent `Quad` of an
 exp form passed to `elementary.exp`.  `tangent_integral` is the periodic
-trapezoid rule on all samples of a circle, in 4-D `Quad` arithmetic.
+trapezoid rule on all samples of a circle, every turn of it, in 4-D
+`Quad` arithmetic.
 `tests/test_loop_oracle.py` checks the split versions against them.
 """
 
@@ -31,8 +32,10 @@ _PI = math.pi
 
 def circle_points(center: Quad, radius: float, plane: str = "plus",
                   samples: int = 4096, psi: float = _PI / 4.0,
-                  fixed_angle: float = 0.0) -> tuple:
-    """The points of `Loop.circle` on valid arguments, closure included."""
+                  fixed_angle: float = 0.0, turns: int = 1) -> tuple:
+    """The points of `Loop.circle` on valid arguments, closure included:
+    one counter-clockwise turn, reversed after its first point when turns
+    is negative, run |turns| times."""
     kind = center.kind
     parts0 = plane_split(center)
     pts: list[Quad] = []
@@ -66,8 +69,9 @@ def circle_points(center: Quad, radius: float, plane: str = "plus",
             w1 = parts0[2] + _SQRT2 * radius * complex(math.cos(th),
                                                        math.sin(th))
             pts.append(plane_join(kind, (parts0[0], parts0[1], w1)))
-    pts.append(pts[0])
-    return tuple(pts)
+    if turns < 0:
+        pts = pts[:1] + pts[:0:-1]
+    return tuple(pts * abs(turns) + pts[:1])
 
 
 def integrate_loop(f, loop) -> Quad:
@@ -99,24 +103,28 @@ def integrate_loop(f, loop) -> Quad:
 
 def tangent_integral(f, center: Quad, radius: float, plane: str = "plus",
                      samples: int = 4096, psi: float = _PI / 4.0,
-                     fixed_angle: float = 0.0) -> Quad:
+                     fixed_angle: float = 0.0, turns: int = 1) -> Quad:
     """The periodic trapezoid rule on all samples of a `Loop.circle` loop,
     in 4-D `Quad` arithmetic: (2*pi/S) * sum f(u_k) u'(theta_k).
 
     The circle is u(theta) = m + cos(theta) A + sin(theta) B, so
     u'(theta) = -sin(theta) A + cos(theta) B, with A and B read off its
-    points at theta = 0, pi/2, pi and 3*pi/2.
+    points at theta = 0, pi/2, pi and 3*pi/2.  A loop of `turns` turns
+    runs theta_k = 2*pi*k/S * sign(turns) for k < |turns|*S, every sample
+    of every turn summed.
     """
-    pts = circle_points(center, radius, plane, samples, psi, fixed_angle)
+    pts = circle_points(center, radius, plane, samples, psi, fixed_angle,
+                        turns)
     quarter = circle_points(center, radius, plane, 4, psi, fixed_angle)
     a = scale(quarter[0] - quarter[2], 0.5)
     b = scale(quarter[1] - quarter[3], 0.5)
+    sign = 1 if turns > 0 else -1
     total = zero(center.kind)
-    for k in range(samples):
-        th = 2.0 * _PI * k / samples
+    for k in range(abs(turns) * samples):
+        th = sign * 2.0 * _PI * k / samples
         du = scale(a, -math.sin(th)) + scale(b, math.cos(th))
         total = total + mul(f(pts[k]), du)
-    return scale(total, 2.0 * _PI / samples)
+    return scale(total, sign * 2.0 * _PI / samples)
 
 
 def _exponent_quad(f: ExpForm) -> Quad:

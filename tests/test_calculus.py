@@ -24,10 +24,10 @@ from quadfield import (
     check_second_order,
     convergence_bounds,
     eval_series,
-    eval_series_canonical,
     exp,
     integrate_loop,
     inverse,
+    modulus,
     mul,
     one,
     plane_join,
@@ -38,9 +38,12 @@ from quadfield import (
     winding,
     zero,
 )
+from quadfield import calculus
 from quadfield.calculus import RESIDUE_UNITS
 
-from conftest import KINDS, max_abs_diff, random_quad
+import loop_oracle as O
+from conftest import KINDS, max_abs_diff, random_quad, record_fields
+from series_oracle import eval_series_canonical
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -472,7 +475,8 @@ class TestCircleLoops:
                             ) <= 1e-12
         # 16 (polar: 32) nested nodes and half as many turned ones
         assert len(evaluations) == budget
-        assert all(any(u is p for p in loop.points) for u in evaluations)
+        # on the circle's map, bitwise at its samples
+        assert all(u in loop.points for u in evaluations)
 
     @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR,
                                       AlgebraKind.PLANAR, AlgebraKind.POLAR])
@@ -506,21 +510,60 @@ class TestCircleLoops:
             lambda u: inverse(u) + scale(pow_int(inverse(u), 17), eps), loop)
         assert max_abs_diff(got, Quad(c.kind, 0.0, PI, PI, 0.0)) < 1e-12
 
-    def test_circle_fields_must_give_the_points(self):
+    def test_a_circle_is_its_map_not_points(self):
         c = zero(AlgebraKind.CIRCULAR)
         circle = Loop.circle(c, 3.0, samples=16)
         fields = dict(plane="plus", center=c, radius=3.0, psi=PI / 4,
-                      fixed_angle=0.0)
-        assert Loop(points=circle.points, **fields) == circle
-        for wrong in (dict(radius=1.0), dict(center=one(c.kind)),
-                      dict(fixed_angle=0.5), dict(plane="minus"),
-                      dict(psi=None), dict(center=None)):
-            with pytest.raises(ValueError, match="circle fields"):
-                Loop(points=circle.points, **{**fields, **wrong})
-        polar = Loop.circle(zero(AlgebraKind.POLAR), 1.0, samples=16)
-        with pytest.raises(ValueError, match="circle fields"):
-            Loop(points=polar.points, plane="plus",
-                 center=zero(AlgebraKind.POLAR), radius=2.0)
+                      fixed_angle=0.0, samples=16, turns=1)
+        assert Loop(None, **fields) == circle
+        with pytest.raises(ValueError, match="takes no points"):
+            Loop(points=circle.points, **fields)
+        with pytest.raises(ValueError, match="no circle fields"):
+            Loop(points=circle.points, samples=16)
+        for wrong in (dict(samples=7), dict(samples=16.0), dict(turns=0),
+                      dict(turns=1.0), dict(turns=True), dict(psi=PI / 2),
+                      dict(plane="up"), dict(radius=0.0)):
+            with pytest.raises(ValueError):
+                Loop(None, **{**fields, **wrong})
+        with pytest.raises(ValueError, match="plus"):
+            Loop(None, **{**fields, "center": zero(AlgebraKind.POLAR),
+                          "plane": "minus"})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_integral_and_prediction_build_no_points(self, kind):
+        center = Quad(kind, 0.3, -0.2, 0.1, 0.4)
+        loop = Loop.circle(center, 0.5, samples=1024, turns=-2)
+        integrate_loop(lambda u: mul(exp(u), u - center), loop)
+        residue_prediction([(center + Quad(kind, 5.0, 0, 0, 0), one(kind))],
+                           loop)
+        assert calculus._POINTS.__get__(loop) is None
+        assert len(loop.points) == 2 * 1024 + 1
+        assert calculus._POINTS.__get__(loop) is loop.points
+
+    @settings(max_examples=60, deadline=None)
+    @given(circles_with_poles(), st.sampled_from([-2, -1, 1, 2, 3]),
+           st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 4))
+    def test_turns_scale_the_integral_and_the_prediction(self, case, turns,
+                                                         coeff):
+        loop, u0 = case
+        args = dict(zip(Loop.__match_args__[1:-1], record_fields(loop)[1:-1]))
+        wound = Loop.circle(**args, turns=turns)
+        a = Quad(loop.kind, *coeff)
+
+        def f(u):
+            return mul(a, inverse(u - u0))
+
+        pred = residue_prediction([(u0, a)], wound)
+        size = max(1.0, max(map(abs, pred.components)))
+        assert max_abs_diff(pred, scale(residue_prediction([(u0, a)], loop),
+                                        turns)) <= 1e-14 * size
+        got = integrate_loop(f, wound)
+        assert max_abs_diff(got, pred) <= 1e-10 * size
+        want = O.tangent_integral(f, **args, turns=turns)
+        points = O.circle_points(**args, turns=turns)
+        terms = sum(modulus(f(p)) * modulus(q - p)
+                    for p, q in zip(points, points[1:]))
+        assert max_abs_diff(got, want) <= 1e-11 * terms
 
     @pytest.mark.parametrize("kind", [AlgebraKind.CIRCULAR,
                                       AlgebraKind.PLANAR, AlgebraKind.POLAR])

@@ -10,7 +10,7 @@ import pytest
 
 import quadfield
 from quadfield import AlgebraKind, Quad, cosexp, exp_form, expform_to_dict, f4
-from quadfield import polynomial
+from quadfield import cli, polynomial
 from quadfield.cli import COSEXP_MAX_ROWS, LOOP_MAX_SAMPLES, main
 
 # The directory the tests import quadfield from, so that a child process
@@ -55,6 +55,34 @@ class TestEntryPoints:
         assert cp.returncode == 1
         assert "usage error" in cp.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["nope"], ["nope", "--help"], [],
+        *([name, "--help"] for name in cli._COMMANDS),
+        ["eval", "--kind", "bogus", "--op", "mul", "--a", "1,0,0,0"],
+        ["integrate", "--kind", "circular"],
+        ["matrix", "--kind", "polar", "--u", "1,2,3,4", "--extra"],
+    ], ids=" ".join)
+    def test_one_subcommand_parser_prints_as_the_full_one(self, capsys,
+                                                          monkeypatch, argv):
+        build, built = cli._build_parser, []
+
+        def run(only_named):
+            def make(names):
+                built.append(list(names))
+                return build(names if only_named else tuple(cli._COMMANDS))
+
+            monkeypatch.setattr(cli, "_build_parser", make)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        assert run(only_named=True) == run(only_named=False)
+        named = argv[:1] if argv and argv[0] in cli._COMMANDS else None
+        assert built[0] == (named or list(cli._COMMANDS))
+
 
 # Runs the CLI as `python -m quadfield` does, then prints the loaded modules.
 _RUN_AND_LIST_MODULES = """\
@@ -81,8 +109,15 @@ class TestImportFootprint:
         assert {m for m in loaded if m.startswith("quadfield")} == _CORE
         assert "dataclasses" not in loaded
 
+    def test_import_quadfield_loads_no_json(self):
+        # The snippet above imports json itself, so it cannot see this.
+        cp = run_python("-c", "import sys, quadfield; "
+                              "print('json' in sys.modules)")
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "False"
+
     @pytest.mark.parametrize("module", ["calculus", "canonical", "elementary",
-                                        "matrix_rep", "polynomial"])
+                                        "matrix_rep", "polynomial", "series"])
     def test_library_module_loads_only_the_core(self, module):
         cp = run_python("-c", f"import json, sys, quadfield.{module}; "
                               "print(json.dumps(sorted(sys.modules)))")
@@ -560,6 +595,47 @@ class TestIntegrate:
                                   "--pole", "0,0,0,0")
         assert code == 1 and out == ""
         assert "usage error" in err and str(LOOP_MAX_SAMPLES) in err
+
+    @pytest.mark.parametrize("kind", ["circular", "planar", "polar"])
+    def test_turns_scale_result_and_prediction(self, capsys, kind):
+        def integrate(**turns):
+            spec = {"center": [0.3, 0.1, 0.2, 0.05], "radius": 0.5,
+                    "samples": 1024, **turns}
+            code, out, _ = run_main(
+                capsys, "integrate", "--kind", kind, "--integrand", "exp",
+                "--pole", "0.8,0.1,0.2,0.05" if kind == "polar"
+                else "0.3,0.1,0.2,0.05", "--loop", json.dumps(spec))
+            assert code == 0
+            payload = json.loads(out)
+            return payload["result"], payload["prediction"]
+
+        result, prediction = integrate()
+        assert max(map(abs, prediction)) > 1.0
+        assert integrate(turns=1) == (result, prediction)
+        for turns in (-1, 2, -3):
+            got, pred = integrate(turns=turns)
+            assert got == pytest.approx([turns * r for r in result],
+                                        rel=1e-15, abs=1e-15)
+            assert pred == pytest.approx([turns * p for p in prediction],
+                                         rel=1e-15, abs=1e-15)
+            assert max(abs(g - p) for g, p in zip(got, pred)) <= 1e-10
+
+    @pytest.mark.parametrize("turns", ["1.0", "1.5", "true", "0", '"2"',
+                                       "null"])
+    def test_turns_must_be_a_nonzero_integer(self, capsys, turns):
+        code, out, err = run_main(
+            capsys, "integrate", "--kind", "circular", "--integrand", "pole",
+            "--pole", "0,0,0,0", "--loop",
+            '{"center": [0,0,0,0], "radius": 0.5, "turns": %s}' % turns)
+        assert code == 1 and out == ""
+        assert "usage error" in err and "turns" in err
+
+    def test_bad_turns_exit_without_traceback(self):
+        cp = run_pkg("integrate", "--kind", "circular", "--integrand", "pole",
+                     "--pole", "0,0,0,0", "--loop",
+                     '{"center":[0,0,0,0],"radius":0.5,"turns":0.5}')
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert "usage error" in cp.stderr and "Traceback" not in cp.stderr
 
     def test_infinite_samples_is_usage_error(self):
         # JSON reads 1e400 as infinity, which has no integer value

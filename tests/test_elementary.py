@@ -31,6 +31,7 @@ from quadfield import (
     scale,
     sin,
     sinh,
+    zero,
 )
 
 from conftest import (
@@ -375,6 +376,28 @@ class TestPowReal:
                 scale_ref = max(1.0, modulus(pow_int(u, n)))
                 assert max_abs_diff(pow_real(u, float(n)),
                                     pow_int(u, n)) < 1e-9 * scale_ref
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_exp_of_the_scaled_log(self, kind):
+        rng = random.Random(63)
+        for _ in range(200):
+            u = exp_domain_quad(kind, rng)
+            n = rng.uniform(-3.0, 3.0)
+            want = exp(scale(log(u), n))
+            assert max_abs_diff(pow_real(u, n), want) <= 1e-12 * max(
+                map(abs, want.components))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_log_domain_and_overflow_errors(self, kind):
+        with pytest.raises(DomainError) as by_log:
+            log(zero(kind))
+        with pytest.raises(DomainError) as by_pow:
+            pow_real(zero(kind), 0.5)
+        assert str(by_pow.value) == str(by_log.value)
+        with pytest.raises(ResultOverflow):
+            pow_real(Quad(kind, 10.0, 0.0, 0.0, 0.0), 400.0)
+        with pytest.raises(ValueError, match="finite"):
+            pow_real(one(kind), math.nan)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_square_root(self, kind):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import kind_tables_oracle as O
 from quadfield import (
     Quad,
-    calculus,
     canonical,
     check_analytic,
     check_second_order,
@@ -19,6 +18,7 @@ from quadfield import (
     mul,
     pow_int,
     represent,
+    series,
     to_canonical,
 )
 from quadfield.calculus import RESIDUE_UNITS
@@ -39,12 +39,12 @@ def relation_set(eqs):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_first_order_chains_match_tuple_for_tuple(kind):
-    assert calculus._CHAINS[kind] == O.FIRST_ORDER_CHAINS[kind]
+    assert series._CHAINS[kind] == O.FIRST_ORDER_CHAINS[kind]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_second_order_relations_match_as_sets(kind):
-    derived = calculus._SECOND_ORDER[kind]
+    derived = series._SECOND_ORDER[kind]
     assert len(derived) == len(O.SECOND_ORDER_EQS[kind])
     assert relation_set(derived) == relation_set(O.SECOND_ORDER_EQS[kind])
 
@@ -64,14 +64,14 @@ def test_canonical_bases_and_named_elements_match_bitwise(kind):
 
 
 def test_global_mul_factor_matches_bitwise():
-    assert calculus._GLOBAL_MUL_FACTOR == O.GLOBAL_MUL_FACTOR
+    assert series._GLOBAL_MUL_FACTOR == O.GLOBAL_MUL_FACTOR
 
 
 @settings(max_examples=200)
 @given(kind=st.sampled_from(KINDS), data=st.data())
 def test_global_mul_factor_bounds_the_product(kind, data):
     u, v = data.draw(quads(kind)), data.draw(quads(kind))
-    c = calculus._GLOBAL_MUL_FACTOR[kind]
+    c = series._GLOBAL_MUL_FACTOR[kind]
     assert modulus(mul(u, v)) <= c * modulus(u) * modulus(v) * (1 + 1e-12)
 
 
@@ -114,8 +114,8 @@ def test_checks_equal_the_table_driven_oracle(kind, name, monkeypatch):
     points.append(Quad(kind, 0.4, 0.3, -0.2, 0.1))
     derived = [(check_analytic(f, u0), check_second_order(f, u0))
                for u0 in points]
-    monkeypatch.setattr(calculus, "_CHAINS", O.FIRST_ORDER_CHAINS)
-    monkeypatch.setattr(calculus, "_SECOND_ORDER", O.SECOND_ORDER_EQS)
+    monkeypatch.setattr(series, "_CHAINS", O.FIRST_ORDER_CHAINS)
+    monkeypatch.setattr(series, "_SECOND_ORDER", O.SECOND_ORDER_EQS)
     oracle = [(check_analytic(f, u0), check_second_order(f, u0))
               for u0 in points]
     assert derived == oracle

@@ -65,6 +65,14 @@ def test_circle_points_are_bitwise_the_oracles(args):
     assert loop.points[0] is loop.points[-1]
 
 
+@SETTINGS
+@given(circle_args(max_samples=64), st.sampled_from([-2, -1, 2, 3]))
+def test_wound_circle_points_are_bitwise_the_oracles(args, turns):
+    loop = Loop.circle(**args, turns=turns)
+    assert hexes(loop.points) == hexes(O.circle_points(**args, turns=turns))
+    assert loop.points[0] is loop.points[-1]
+
+
 def rounding_scale(f, loop):
     """sum |avg f| |du| over the segments: the size of the trapezoid sum's
     terms, which bounds the rounding of any order of summing them."""

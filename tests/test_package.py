@@ -11,10 +11,11 @@ from quadfield import (
     elementary,
     matrix_rep,
     polynomial,
+    series,
 )
 
 HOME_MODULES = (algebra_core, calculus, canonical, elementary, matrix_rep,
-                polynomial)
+                polynomial, series)
 
 
 def home_object(name):
@@ -34,7 +35,7 @@ Poly Quad QuadfieldError ResultOverflow SeriesSpec SingularOnPath
 SingularValue SingularityReport TrigForm WindingQuery add amplitude
 block_diagonalize canonical_mul check_analytic check_second_order
 convergence_bounds cos cosexp cosexp_series cosh determinant
-enumerate_factorizations eval_poly eval_series eval_series_canonical exp
+enumerate_factorizations eval_poly eval_series exp
 exp_form expform_from_dict expform_to_dict f4 factor from_canonical
 from_exp_form from_trig_form g4 integrate_loop inverse log modulus mul
 neg one pair_conjugates plane_join plane_split pow_int pow_real

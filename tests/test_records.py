@@ -3,8 +3,9 @@
 All 17 record types subclass ``algebra_core._Record``.  The repr strings
 and field tuples pinned below are those of the ``@dataclass(frozen=True)``
 records they replaced (the field tuples are the old ``dataclasses.fields``
-names).  Each record also refuses assignment and deletion of every field
-and of one non-field name with ``dataclasses.FrozenInstanceError``,
+names; ``Loop`` has since gained ``samples`` and ``turns``).  Each record
+also refuses assignment and deletion of every field and of one non-field
+name with ``dataclasses.FrozenInstanceError``,
 compares and hashes by its fields, survives copy, deepcopy and pickle, and
 raises ``TypeError`` on a missing or an unknown constructor argument.
 """
@@ -61,8 +62,10 @@ PINNED = [
      ("global_bound", "canonical")),
     (Loop.from_points([Quad(C, x, y, 0.0, 0.0) for x, y in _SQUARE]),
      "Loop(points=(" + ", ".join(_QUAD_C.format(x, y) for x, y in _SQUARE)
-     + "), plane=None, center=None, radius=None, psi=None, fixed_angle=None)",
-     ("points", "plane", "center", "radius", "psi", "fixed_angle")),
+     + "), plane=None, center=None, radius=None, psi=None, fixed_angle=None, "
+     "samples=None, turns=None)",
+     ("points", "plane", "center", "radius", "psi", "fixed_angle", "samples",
+      "turns")),
     (WindingQuery((0.0, 0.0),
                   ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (1.0, 0.0))),
      "WindingQuery(point2d=(0.0, 0.0), "
@@ -144,7 +147,7 @@ by_type = pytest.mark.parametrize("records", BY_TYPE.values(), ids=BY_TYPE)
 def _record_types():
     modules = [quadfield.algebra_core, quadfield.calculus,
                quadfield.canonical, quadfield.elementary,
-               quadfield.matrix_rep, quadfield.polynomial]
+               quadfield.matrix_rep, quadfield.polynomial, quadfield.series]
     return {obj for mod in modules for obj in vars(mod).values()
             if isinstance(obj, type) and issubclass(obj, _Record)
             and obj is not _Record}

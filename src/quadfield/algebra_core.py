@@ -18,14 +18,15 @@ the distance to those sets; ``inverse`` refuses to divide near them.
 (each map a unital ring homomorphism) and ``plane_join`` maps back; the
 nodal residuals are the moduli of the split parts, ``inverse`` joins the
 parts' reciprocals and ``amplitude`` multiplies the parts, each plane by
-its squared modulus.  ``Quad`` is a frozen ``__slots__`` class whose
-``__init__`` runs ``__post_init__`` (kind check, float coercion, one
-NaN/inf test) exactly once.  ``_Record`` is the one
-base of every other record type in the package (``Amplitude`` and
-``SingularityReport`` here, the forms, loops, matrices and polynomials in
-the other modules): a frozen ``__slots__`` class with a frozen
-dataclass's behaviour, so no module of the package imports
-``dataclasses``.
+its squared modulus.  ``_Record`` is the one base of every record type
+in the package (``Quad``, ``Amplitude`` and ``SingularityReport`` here,
+the forms, loops, matrices and polynomials in the other modules): a
+frozen ``__slots__`` class with a frozen dataclass's behaviour, so no
+module of the package imports ``dataclasses``.  ``Quad`` keeps its own
+``__init__``, which runs ``__post_init__`` (kind check, float coercion,
+one NaN/inf test) exactly once.  ``_check_coeffs`` and ``_horner`` are
+the one check and the one Horner loop of the coefficient sequences of
+``polynomial.Poly`` and ``series.SeriesSpec``.
 
 The formulas — per kind the unit products and the split and join, and
 the inverse and amplitude quartic read off the split — live in
@@ -111,7 +112,66 @@ class AlgebraKind(enum.Enum):
         return self.value
 
 
-class Quad:
+class _Record:
+    """Frozen ``__slots__`` record with a frozen dataclass's behaviour.
+
+    A subclass names its fields once, in ``__slots__``; the last
+    ``_optional`` of them default to None.  Defining the subclass builds
+    its ``__init__`` from the fields, unless it defines its own, so it
+    takes them by position and by keyword (``TypeError`` on a missing or
+    unknown argument), sets each through its slot and then calls
+    ``__post_init__`` if the subclass has one; validation there writes a
+    field with ``object.__setattr__``.  ``__match_args__`` is the field
+    tuple.  repr, equality and hash are by fields; pickle and copy rebuild
+    the record from its fields.  Assignment and deletion of any name raise
+    ``dataclasses.FrozenInstanceError``, imported only to be raised.
+    """
+
+    __slots__ = ()
+    _optional = 0
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__ = cls.__slots__
+        if "__init__" in cls.__dict__:
+            return
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+        exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__defaults__ = (None,) * cls._optional
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+class Quad(_Record):
     """One four-dimensional hypercomplex number.
 
     Components are finite doubles; construction rejects NaN/inf.  The
@@ -147,29 +207,6 @@ class Quad:
         _set_y(self, y)
         _set_z(self, z)
         _set_t(self, t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Quad:
-            return NotImplemented
-        return (self.kind is other.kind and self.x == other.x
-                and self.y == other.y and self.z == other.z
-                and self.t == other.t)
-
-    def __hash__(self):
-        return hash((self.kind, self.x, self.y, self.z, self.t))
-
-    def __repr__(self):
-        return (f"Quad(kind={self.kind!r}, x={self.x!r}, y={self.y!r}, "
-                f"z={self.z!r}, t={self.t!r})")
-
-    def __reduce__(self):
-        return (Quad, (self.kind, self.x, self.y, self.z, self.t))
 
     @property
     def components(self) -> tuple[float, float, float, float]:
@@ -216,63 +253,6 @@ def _coerce(v: "Quad | float", kind: AlgebraKind) -> Quad:
 def _require_same_kind(u: Quad, v: Quad) -> None:
     if u.kind is not v.kind:
         raise ValueError(f"kind mismatch: {u.kind} vs {v.kind}")
-
-
-class _Record:
-    """Frozen ``__slots__`` record with a frozen dataclass's behaviour.
-
-    A subclass names its fields once, in ``__slots__``; the last
-    ``_optional`` of them default to None.  Defining the subclass builds
-    its ``__init__`` from the fields, so it takes them by position and by
-    keyword (``TypeError`` on a missing or unknown argument), sets each
-    through its slot and then calls ``__post_init__`` if the subclass has
-    one; validation there writes a field with ``object.__setattr__``.
-    ``__match_args__`` is the field tuple.  repr, equality and hash are by
-    fields; pickle and copy rebuild the record from its fields.
-    Assignment and deletion of any name raise
-    ``dataclasses.FrozenInstanceError``, imported only to be raised.
-    """
-
-    __slots__ = ()
-    _optional = 0
-
-    def __init_subclass__(cls) -> None:
-        names = cls.__match_args__ = cls.__slots__
-        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
-        if hasattr(cls, "__post_init__"):
-            body += "\n    self.__post_init__()"
-        scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
-        exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
-        init = cls.__init__ = scope["__init__"]
-        init.__defaults__ = (None,) * cls._optional
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return (self.__class__, self._values())
 
 
 class Amplitude(_Record):
@@ -552,6 +532,36 @@ def pow_int(u: Quad, m: int, tol: float = DEFAULT_TOL) -> Quad:
         if not m:
             return result
         base = mul(base, base)
+
+
+# -- coefficient sequences (polynomial.Poly, series.SeriesSpec) ----------
+
+def _check_coeffs(record, what: str) -> None:
+    """Check that a record's kind is an AlgebraKind and its coefficients
+    are at least one Quad of that kind, and store them as a tuple;
+    ``what`` names the record in the messages."""
+    kind = record.kind
+    if kind.__class__ is not AlgebraKind:
+        raise TypeError(f"kind must be AlgebraKind, got {kind!r}")
+    coeffs = tuple(record.coeffs)
+    object.__setattr__(record, "coeffs", coeffs)
+    if not coeffs:
+        raise ValueError(f"{what} needs at least one coefficient")
+    for a in coeffs:
+        if a.kind is not kind:
+            raise ValueError(f"kind mismatch: {a.kind} coefficient in "
+                             f"{kind} {what}")
+
+
+def _horner(kind: AlgebraKind, coeffs, u: Quad, what: str) -> Quad:
+    """coeffs[0]*u**m + ... + coeffs[m] by Horner's rule; u must be of
+    ``kind``, and ``what`` names the sequence in the message."""
+    if u.kind is not kind:
+        raise ValueError(f"kind mismatch: {u.kind} point in {kind} {what}")
+    acc = coeffs[0]
+    for a in coeffs[1:]:
+        acc = mul(acc, u) + a
+    return acc
 
 
 # -- JSON interchange ----------------------------------------------------

@@ -123,7 +123,8 @@ class Loop(_Record):
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         if self.samples.__class__ is not int or self.samples < 8:
-            raise ValueError(f"need at least 8 samples, got {self.samples!r}")
+            raise ValueError(
+                f"samples must be an integer >= 8, got {self.samples!r}")
         if self.turns.__class__ is not int or self.turns == 0:
             raise ValueError(f"turns must be a nonzero integer, got {self.turns!r}")
         kind = self.center.kind
@@ -339,9 +340,14 @@ def winding(q: WindingQuery) -> int:
     """
     if _polygon_distance(q.point2d, q.polygon2d) < 1e-9:
         raise OnBoundary(f"point {q.point2d} lies on the polygon boundary")
-    px, py = q.point2d
+    return _crossings(q.point2d, q.polygon2d)
+
+
+def _crossings(point: tuple[float, float],
+               poly: tuple[tuple[float, float], ...]) -> int:
+    """:func:`winding` of a point off the closed float polygon."""
+    px, py = point
     n = 0
-    poly = q.polygon2d
     for i in range(len(poly) - 1):
         x1, y1 = poly[i]
         x2, y2 = poly[i + 1]
@@ -423,8 +429,8 @@ def residue_prediction(poles, loop: Loop) -> Quad:
                 )
             if dist < 1e-9:
                 raise OnBoundary(f"point {pt} lies on the polygon boundary")
-            n = (winding(WindingQuery(point2d=pt, polygon2d=projections[j]))
-                 if loop.radius is None else int(off < r))
+            n = (_crossings(pt, projections[j]) if loop.radius is None
+                 else int(off < r))
             if n:
                 total[j] += _TWO_PI_I * n * a_parts[j]
     return _join_turns(loop, total, "residue prediction")

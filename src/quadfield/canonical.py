@@ -205,12 +205,13 @@ class ExpForm(_Record):
     def __post_init__(self) -> None:
         if self.kind.__class__ is not AlgebraKind:
             raise TypeError(f"kind must be AlgebraKind, got {self.kind!r}")
-        for name in _EXPFORM_FIELDS[self.kind]:
-            if getattr(self, name) is None:
-                raise ValueError(f"{self.kind} exp form requires field {name}")
-        for name in _EXPFORM_UNUSED[self.kind]:
-            if getattr(self, name) is not None:
-                raise ValueError(f"{self.kind} exp form does not take field {name}")
+        required = _EXPFORM_FIELDS[self.kind]
+        for name in self.__slots__[1:]:
+            given = getattr(self, name) is not None
+            if given is not (name in required):
+                raise ValueError(f"{self.kind} exp form "
+                                 + ("does not take" if given else "requires")
+                                 + f" field {name}")
 
 
 # Each kind's fields with their ranges, checked by from_exp_form and
@@ -229,12 +230,6 @@ _EXPFORM_FIELDS = {
                              "t1": _FINITE},
     AlgebraKind.POLAR: {"rho": _POSITIVE, "theta_plus": _ANGLE,
                         "theta_minus": _ANGLE, "phi": _FINITE},
-}
-
-_EXPFORM_UNUSED = {
-    kind: tuple(name for name in ExpForm.__match_args__
-                if name != "kind" and name not in required)
-    for kind, required in _EXPFORM_FIELDS.items()
 }
 
 
@@ -263,15 +258,8 @@ def expform_to_dict(f: ExpForm) -> dict:
 def expform_from_dict(d: dict) -> ExpForm:
     if "kind" not in d:
         raise ValueError("exp form dict needs a 'kind' entry")
-    kind = AlgebraKind(d["kind"])
-    required = _EXPFORM_FIELDS[kind]
-    extra = set(d) - set(required) - {"kind"}
-    if extra:
-        raise ValueError(f"unexpected exp form field(s): {sorted(extra)}")
-    missing = [name for name in required if name not in d]
-    if missing:
-        raise ValueError(f"{kind} exp form dict missing field(s): {missing}")
-    return ExpForm(kind=kind, **{name: float(d[name]) for name in required})
+    return ExpForm(kind=AlgebraKind(d["kind"]),
+                   **{k: float(v) for k, v in d.items() if k != "kind"})
 
 
 def _angle(y: float, x: float) -> float:

@@ -5,9 +5,13 @@ passed inline as comma-separated x,y,z,t; structured payloads are JSON.
 Exit codes: 0 success, 1 usage errors, 2 domain errors (the error is
 printed as a one-line JSON object so scripts can parse it).  Asking for
 a cosexp table past ``COSEXP_MAX_ROWS`` rows, or an ``integrate --loop``
-circle past ``LOOP_MAX_SAMPLES`` samples, is a usage error; a circle's
-``samples`` only caps the adaptive quadrature of one turn, and its
-``turns`` (a JSON integer other than 0, default 1) multiplies it.  The
+circle past ``LOOP_MAX_SAMPLES`` samples, is a usage error.  A ``--loop``
+spec is ``{"points": [...]}`` alone, or a circle: ``center`` and
+``radius`` and any other keyword of ``Loop.circle`` (``plane``,
+``samples``, ``psi``, ``fixed_angle``, ``turns``), which owns their
+defaults and checks; ``samples`` and ``turns`` are JSON integers.  Any
+other key is a usage error.  A circle's ``samples`` only caps the
+adaptive quadrature of one turn, and its ``turns`` multiplies it.  The
 env var QUADFIELD_TOL overrides the default singularity tolerance.
 """
 
@@ -222,33 +226,20 @@ def _parse_loop(kind: AlgebraKind, text: str):
     if not isinstance(spec, dict):
         raise _UsageError("--loop must be a JSON object")
     if "points" in spec:
-        pts = [Quad(kind, *[float(v) for v in p]) for p in spec["points"]]
-        return Loop.from_points(pts)
-    try:
-        center = Quad(kind, *[float(v) for v in spec["center"]])
-        radius = float(spec["radius"])
-    except KeyError as exc:
-        raise _UsageError(f"circle loop spec needs {exc.args[0]!r}") from exc
-    try:
-        samples = int(spec.get("samples", 4096))
-    except OverflowError as exc:
-        raise _UsageError(f"loop samples must be finite: {exc}") from exc
-    if samples > LOOP_MAX_SAMPLES:
+        if len(spec) > 1:
+            raise _UsageError(f"a points loop spec takes only 'points', got "
+                              f"{sorted(spec.keys() - {'points'})}")
+        return Loop.from_points([Quad(kind, *p) for p in spec["points"]])
+    for key in ("center", "radius"):
+        if key not in spec:
+            raise _UsageError(f"circle loop spec needs {key!r}")
+    # Loop.circle owns the defaults and the checks: an unknown key is a
+    # TypeError naming it, a bad value a ValueError naming its rule.
+    loop = Loop.circle(**{**spec, "center": Quad(kind, *spec["center"])})
+    if loop.samples > LOOP_MAX_SAMPLES:
         raise _UsageError(
-            f"loop samples {samples} exceed the cap of {LOOP_MAX_SAMPLES}")
-    turns = spec.get("turns", 1)
-    if turns.__class__ is not int or turns == 0:
-        raise _UsageError(f"loop turns must be a JSON integer other than 0, "
-                          f"got {turns!r}")
-    return Loop.circle(
-        center,
-        radius,
-        plane=spec.get("plane", "plus"),
-        samples=samples,
-        psi=float(spec.get("psi", math.pi / 4.0)),
-        fixed_angle=float(spec.get("fixed_angle", 0.0)),
-        turns=turns,
-    )
+            f"loop samples {loop.samples} exceed the cap of {LOOP_MAX_SAMPLES}")
+    return loop
 
 
 def _cmd_integrate(args) -> str:
@@ -381,8 +372,8 @@ _COMMANDS = {
                   _cmd_integrate, ("json",), (
         ("--loop", dict(required=True,
                         help='JSON: {"points": [...]} or circle spec '
-                             '{"plane","center","radius","samples" (a cap),'
-                             '"turns"}')),
+                             '{"center","radius","plane","samples" (a cap),'
+                             '"psi","fixed_angle","turns"}')),
         ("--integrand", dict(required=True,
                              choices=["pole", "pole_m", "square", "exp"])),
         ("--pole", dict(required=True, help="pole / offset quad x,y,z,t")),

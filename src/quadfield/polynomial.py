@@ -39,6 +39,8 @@ from .algebra_core import (
     AlgebraKind,
     Quad,
     QuadfieldError,
+    _check_coeffs,
+    _horner,
     _join,
     _overflow,
     _Record,
@@ -85,15 +87,7 @@ class Poly(_Record):
     __slots__ = ("kind", "coeffs")
 
     def __post_init__(self) -> None:
-        if self.kind.__class__ is not AlgebraKind:
-            raise TypeError(f"kind must be AlgebraKind, got {self.kind!r}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        for a in self.coeffs:
-            if a.kind is not self.kind:
-                raise ValueError(f"kind mismatch: {a.kind} coefficient in "
-                                 f"{self.kind} polynomial")
+        _check_coeffs(self, "polynomial")
         if self.coeffs[0].components != (1.0, 0.0, 0.0, 0.0):
             raise ValueError("polynomial must be monic (leading coefficient "
                              "exactly 1); use Poly.from_coefficients to "
@@ -107,12 +101,9 @@ class Poly(_Record):
     def from_coefficients(cls, kind: AlgebraKind, coeffs) -> "Poly":
         """Normalize by the leading coefficient (which must be invertible)."""
         coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        lead = coeffs[0]
-        if lead.components == (1.0, 0.0, 0.0, 0.0):
+        if not coeffs or coeffs[0].components == (1.0, 0.0, 0.0, 0.0):
             return cls(kind, coeffs)
-        lead_inv = inverse(lead)  # raises SingularValue on nodal leading coeff
+        lead_inv = inverse(coeffs[0])  # SingularValue if it is nodal
         one = Quad(kind, 1.0, 0.0, 0.0, 0.0)
         return cls(kind, (one,) + tuple(mul(lead_inv, a) for a in coeffs[1:]))
 
@@ -150,12 +141,7 @@ class Factorization(_Record):
 
 def eval_poly(p: Poly, u: Quad) -> Quad:
     """Horner evaluation with the algebra product."""
-    if u.kind is not p.kind:
-        raise ValueError(f"kind mismatch: {u.kind} point in {p.kind} polynomial")
-    acc = p.coeffs[0]
-    for a in p.coeffs[1:]:
-        acc = mul(acc, u) + a
-    return acc
+    return _horner(p.kind, p.coeffs, u, "polynomial")
 
 
 # -- component machinery ------------------------------------------------------
@@ -513,7 +499,8 @@ def enumerate_factorizations(p: Poly, cap: int = 100) -> list[Factorization]:
 
 
 def reconstruct(f: Factorization, kind: AlgebraKind) -> Poly:
-    """Expand the product of (u - root); the oracle for factor()."""
+    """Expand the product of (u - root), the paper's product of linear
+    factors; the tests also use it as factor()'s oracle."""
     mulc = _MUL[kind]
     coeffs: list[tuple] = [(1.0, 0.0, 0.0, 0.0)]
     zero4 = (0.0, 0.0, 0.0, 0.0)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, mul
-from .algebra_core import (_Record, _split_basis, _unit_products, plane_join,
-                           plane_split)
+from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus
+from .algebra_core import (_check_coeffs, _horner, _Record, _split_basis,
+                           _unit_products, plane_join, plane_split)
 
 __all__ = [
     "SeriesSpec",
@@ -37,15 +37,7 @@ class SeriesSpec(_Record):
     __slots__ = ("kind", "coeffs")
 
     def __post_init__(self) -> None:
-        if self.kind.__class__ is not AlgebraKind:
-            raise TypeError(f"kind must be AlgebraKind, got {self.kind!r}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
-            raise ValueError("series needs at least one coefficient")
-        for a in self.coeffs:
-            if a.kind is not self.kind:
-                raise ValueError(f"kind mismatch: {a.kind} coefficient in "
-                                 f"{self.kind} series")
+        _check_coeffs(self, "series")
 
 
 class ConvergenceBounds(_Record):
@@ -58,12 +50,7 @@ class ConvergenceBounds(_Record):
 
 def eval_series(s: SeriesSpec, u: Quad) -> Quad:
     """Horner evaluation of the series at u."""
-    if u.kind is not s.kind:
-        raise ValueError(f"kind mismatch: {u.kind} point in {s.kind} series")
-    acc = s.coeffs[-1]
-    for a in reversed(s.coeffs[:-1]):
-        acc = mul(acc, u) + a
-    return acc
+    return _horner(s.kind, s.coeffs[::-1], u, "series")
 
 
 # |uv| <= c*|u|*|v| with the sharp c = 1/|e| for the shortest element e of

@@ -340,6 +340,11 @@ class TestExpForm:
             expform_from_dict({"kind": "circular", "rho": 1.0, "phi": 0.0,
                                "chi": 0.0, "psi": 0.5, "mu": 3.0})  # stray field
 
+    def test_expform_from_dict_unknown_key_is_type_error(self):
+        with pytest.raises(TypeError, match="'nope'"):
+            expform_from_dict({"kind": "circular", "rho": 1.0, "phi": 0.0,
+                               "chi": 0.0, "psi": 0.5, "nope": 1.0})
+
 
 # A valid exp form of each kind; each case below spoils one field.
 VALID_FIELDS = {

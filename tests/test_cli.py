@@ -321,6 +321,14 @@ class TestExpform:
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
+    def test_unknown_field_is_usage_error(self, capsys):
+        payload = {"kind": "circular", "rho": 1, "phi": 0, "chi": 0,
+                   "psi": 0.5, "nope": 1}
+        code, out, err = run_main(capsys, "expform", "--kind", "circular",
+                                  "--json", json.dumps(payload))
+        assert code == 1 and out == ""
+        assert "usage error" in err and "'nope'" in err
+
     @pytest.mark.parametrize("kind,payload,field", [
         ("polar", {"kind": "polar", "rho": 1, "theta_plus": 0,
                    "theta_minus": 1, "phi": 0}, "theta_plus"),
@@ -644,6 +652,41 @@ class TestIntegrate:
                      '{"center":[0,0,0,0],"radius":0.5,"samples":1e400}')
         assert cp.returncode == 1 and cp.stdout == ""
         assert "usage error" in cp.stderr and "Traceback" not in cp.stderr
+        assert "samples must be an integer >= 8, got inf" in cp.stderr
+
+    @pytest.mark.parametrize("spec,named", [
+        ('{"center": [0,0,0,0], "radius": 0.5, "samples": 64, "turn": -1}',
+         "'turn'"),
+        ('{"center": [0,0,0,0], "radius": 0.5, "samples": 64.7}',
+         "samples must be an integer >= 8, got 64.7"),
+        ('{"center": [0,0,0,0], "radius": 0.5, "samples": true}',
+         "samples must be an integer >= 8, got True"),
+        ('{"center": [0,0,0,0], "radius": 0.5, "samples": 64.0}',
+         "samples must be an integer >= 8, got 64.0"),
+        ('{"points": [[1,0,0,0], [0,1,0,0], [-1,0,0,0], [1,0,0,0]], '
+         '"turns": -1}', "'turns'"),
+    ], ids=["mistyped-key", "fractional-samples", "boolean-samples",
+            "float-samples", "points-with-turns"])
+    def test_bad_loop_spec_names_the_key_or_rule(self, spec, named):
+        cp = run_pkg("integrate", "--kind", "circular", "--integrand", "pole",
+                     "--pole", "0,0,0,0", "--loop", spec)
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert "usage error" in cp.stderr and "Traceback" not in cp.stderr
+        assert named in cp.stderr
+
+    @pytest.mark.parametrize("kind", ["circular", "hyperbolic", "polar"])
+    def test_circle_spec_is_loop_circle_with_its_defaults(self, kind):
+        from quadfield.calculus import Loop
+
+        center = Quad(AlgebraKind(kind), 0.25, 0.0, 0.5, 0.0)
+        spec = json.dumps({"center": list(center.components), "radius": 0.5})
+        assert (cli._parse_loop(AlgebraKind(kind), spec)
+                == Loop.circle(center, 0.5))
+        spec = json.dumps({"center": list(center.components), "radius": 2,
+                           "samples": 64, "turns": -2, "psi": 0.5,
+                           "fixed_angle": 1.0, "plane": "plus"})
+        assert cli._parse_loop(AlgebraKind(kind), spec) == Loop.circle(
+            center, 2.0, samples=64, turns=-2, psi=0.5, fixed_angle=1.0)
 
 
 class TestCosexp:

@@ -1,9 +1,10 @@
 """Every record type keeps the contract of a frozen dataclass.
 
-All 17 record types subclass ``algebra_core._Record``.  The repr strings
+All 18 record types subclass ``algebra_core._Record``.  The repr strings
 and field tuples pinned below are those of the ``@dataclass(frozen=True)``
 records they replaced (the field tuples are the old ``dataclasses.fields``
-names; ``Loop`` has since gained ``samples`` and ``turns``).  Each record
+names; ``Loop`` has since gained ``samples`` and ``turns``), and for
+``Quad`` those of the hand-written class it was before.  Each record
 also refuses assignment and deletion of every field and of one non-field
 name with ``dataclasses.FrozenInstanceError``,
 compares and hashes by its fields, survives copy, deepcopy and pickle, and
@@ -53,6 +54,8 @@ _SQUARE = [(1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0),
 
 # (record, repr, field names)
 PINNED = [
+    (Quad(C, 1.0, 0.5, 0.0, 0.0), _QUAD_C.format(1.0, 0.5),
+     ("kind", "x", "y", "z", "t")),
     (SeriesSpec(C, (one(C),)),
      "SeriesSpec(kind=<AlgebraKind.CIRCULAR: 'circular'>, coeffs=("
      + _QUAD_C.format(1.0, 0.0) + ",))",
@@ -153,9 +156,9 @@ def _record_types():
             and obj is not _Record}
 
 
-def test_the_seventeen_record_types_are_pinned_once():
+def test_every_record_type_is_pinned_once():
     types = [type(record) for record, _, _ in PINNED]
-    assert len(set(types)) == len(types) == len(BY_TYPE) == 17
+    assert len(set(types)) == len(types) == len(BY_TYPE) == 18
     assert set(types) == _record_types()
 
 

@@ -12,6 +12,7 @@ pole's; hyperbolic loops of regular functions always vanish.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, zero
@@ -36,6 +37,16 @@ _TWO_PI = 2.0 * _PI
 _TWO_PI_I = complex(0.0, _TWO_PI)
 _LOOP_TOL = 1e-12   # relative agreement that stops the tangent rule
 _CHARTED = (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR)   # circles with psi
+
+
+def _finite(name: str, value) -> float:
+    """A circle field as a float; ValueError naming the field unless it is
+    a finite int or float (a bool, as JSON true loads, is not a number)."""
+    if value.__class__ is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:   # inf, NaN, an int past 1.8e308
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 class SingularOnPath(QuadfieldError):
@@ -97,7 +108,7 @@ class Loop(_Record):
     _optional = 7
 
     def __post_init__(self) -> None:
-        if self.radius is not None:
+        if self.center is not None:
             return self._check_circle()
         if any(v is not None for v in self._values()[1:]):
             raise ValueError("a polyline loop takes no circle fields; "
@@ -120,6 +131,7 @@ class Loop(_Record):
             raise ValueError("a circle loop takes no points; it builds them")
         if self.plane not in ("plus", "minus"):
             raise ValueError(f"plane must be 'plus' or 'minus', got {self.plane!r}")
+        object.__setattr__(self, "radius", _finite("radius", self.radius))
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         if self.samples.__class__ is not int or self.samples < 8:
@@ -128,8 +140,13 @@ class Loop(_Record):
         if self.turns.__class__ is not int or self.turns == 0:
             raise ValueError(f"turns must be a nonzero integer, got {self.turns!r}")
         kind = self.center.kind
-        if kind in _CHARTED and not 0.0 < self.psi < _PI / 2.0:
-            raise ValueError(f"psi must lie in (0, pi/2), got {self.psi!r}")
+        if kind in _CHARTED:
+            object.__setattr__(self, "psi", _finite("psi", self.psi))
+            object.__setattr__(self, "fixed_angle",
+                               _finite("fixed_angle", self.fixed_angle))
+            if not 0.0 < self.psi < _PI / 2.0:
+                raise ValueError(
+                    f"psi must lie in (0, pi/2), got {self.psi!r}")
         if kind is AlgebraKind.POLAR and self.plane != "plus":
             raise ValueError(
                 "polar circles wind only in the (v1, v1~) plane; "
@@ -165,8 +182,8 @@ class Loop(_Record):
     ) -> "Loop":
         charted = center.kind in _CHARTED
         return cls(points=None, plane=plane, center=center,
-                   radius=float(radius), psi=float(psi) if charted else None,
-                   fixed_angle=float(fixed_angle) if charted else None,
+                   radius=radius, psi=psi if charted else None,
+                   fixed_angle=fixed_angle if charted else None,
                    samples=samples, turns=turns)
 
 

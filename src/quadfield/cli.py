@@ -89,11 +89,17 @@ def _quad_line(u: Quad, digits: int) -> str:
     return ",".join(_fmt(c, digits) for c in u.components)
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, a subclass of int: not numbers here.
+    return isinstance(v, (int, float)) and v.__class__ is not bool
+
+
 def _coeff_quad(kind: AlgebraKind, entry) -> Quad:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return Quad(kind, float(entry), 0.0, 0.0, 0.0)
-    if isinstance(entry, list) and len(entry) == 4:
-        return Quad(kind, *[float(v) for v in entry])
+    if (isinstance(entry, list) and len(entry) == 4
+            and all(map(_is_number, entry))):
+        return Quad(kind, *map(float, entry))
     raise _UsageError(
         f"coefficient must be a number or a 4-element list, got {entry!r}"
     )

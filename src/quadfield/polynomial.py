@@ -1,7 +1,8 @@
 """Polynomials over the four algebras.
 
 Factoring works one decoupled component at a time: the coefficients are
-projected into each plane/line, every component polynomial is solved in
+projected into each plane/line, every distinct component polynomial is
+solved once (real coefficients give the same one on every component) in
 the complex plane by Aberth-Ehrlich iteration with a backward-error stop,
 repeated roots found as clusters, and the per-component roots are zipped
 back into 4-component roots.  Because each projection is a ring
@@ -183,13 +184,15 @@ def _aberth(coeffs: list[complex], name: str) -> list[complex]:
         for i in active:
             zi = z[i]
             az = abs(zi)
-            p, dp, bound = 1.0 + 0j, 0j, 1.0
+            p = 1.0 + 0j
+            dp = 0j
+            bound = 1.0
             for a, b in tail:
                 dp = dp * zi + p
                 p = p * zi + a
                 bound = bound * az + b
+            sigma = 0j
             try:
-                sigma = 0j
                 for w in z:
                     if w is not zi:
                         sigma += 1.0 / (zi - w)
@@ -261,11 +264,13 @@ def _symmetrize_conjugates(roots: list[complex]) -> list[complex]:
 
 
 def _as_root(kind: AlgebraKind, comps: tuple):
-    """Return a Quad when the components are (numerically) real."""
-    scale_ref = max(1.0, max(abs(c) for c in comps))
-    if all(abs(complex(c).imag) <= _REAL_SNAP * scale_ref for c in comps):
-        return Quad(kind, *(complex(c).real for c in comps))
-    return ComplexQuad(kind, *(complex(c) for c in comps))
+    """A Quad if the components (float or complex) are numerically real."""
+    x, y, z, t = comps
+    tol = _REAL_SNAP * max(1.0, abs(x), abs(y), abs(z), abs(t))
+    if (abs(x.imag) <= tol and abs(y.imag) <= tol and abs(z.imag) <= tol
+            and abs(t.imag) <= tol):
+        return Quad(kind, x.real, y.real, z.real, t.real)
+    return ComplexQuad(kind, complex(x), complex(y), complex(z), complex(t))
 
 
 def _component_coeffs(p: Poly) -> list[list[complex]]:
@@ -275,12 +280,20 @@ def _component_coeffs(p: Poly) -> list[list[complex]]:
 
 def _component_root_lists(p: Poly, comp_coeffs) -> list[list[complex]]:
     """Sorted roots of each component polynomial (`_component_coeffs(p)`);
-    a k-fold root appears as k equal entries."""
+    a k-fold root appears as k equal entries.
+
+    A component polynomial equal to an earlier one (every component, for
+    real coefficients) reuses its roots; each line snaps its own copy.
+    """
     lists: list[list[complex]] = []
+    solved: dict[tuple, list[complex]] = {}
     for name, plane, coeffs in zip(_NODAL_SETS[p.kind], _IS_PLANE[p.kind],
                                    comp_coeffs):
+        key = tuple(coeffs)
         try:
-            roots = _aberth(coeffs, name)
+            if key not in solved:
+                solved[key] = _aberth(coeffs, name)
+            roots = solved[key][:]
             if not plane:
                 roots = _symmetrize_conjugates(roots)
         except OverflowError:
@@ -305,8 +318,8 @@ def _assemble(p: Poly, component_orders: tuple[tuple[complex, ...], ...],
     roots = []
     residual = 0.0
     for parts in zip(*component_orders):
-        values = _join(kind, tuple(_horner_c(c, z)
-                                   for c, z in zip(comp_coeffs, parts)))
+        values = _join(kind, [_horner_c(c, z)
+                              for c, z in zip(comp_coeffs, parts)])
         x, y, z, t = root = _join(kind, parts)
         if (x - x) + (y - y) + (z - z) + (t - t):   # inf or NaN
             raise _overflow(kind, "root")

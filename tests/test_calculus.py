@@ -530,6 +530,31 @@ class TestCircleLoops:
                           "plane": "minus"})
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_or_non_number_circle_fields_are_refused(self, kind):
+        for radius in (math.inf, -math.inf, math.nan, 10 ** 400):
+            with pytest.raises(ValueError, match="^radius must be finite"):
+                Loop.circle(one(kind), radius)
+        for radius in (True, False, "0.5", None, 0.5j):
+            with pytest.raises(ValueError, match="^radius must be a number"):
+                Loop.circle(one(kind), radius)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            Loop.circle(one(kind), -0.5)
+        assert Loop.circle(one(kind), 2).radius.__class__ is float
+        if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
+            for angle in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="fixed_angle must be finite"):
+                    Loop.circle(one(kind), 0.5, fixed_angle=angle)
+            for name in ("psi", "fixed_angle"):
+                with pytest.raises(ValueError, match=f"^{name} must be a number"):
+                    Loop.circle(one(kind), 0.5, **{name: True})
+            loop = Loop.circle(one(kind), 0.5, psi=1, fixed_angle=-2)
+            assert (loop.psi, loop.fixed_angle) == (1.0, -2.0)
+            assert loop.psi.__class__ is loop.fixed_angle.__class__ is float
+        else:   # no psi or fixed angle: the values given are not read
+            assert Loop.circle(one(kind), 0.5, fixed_angle=math.inf) \
+                == Loop.circle(one(kind), 0.5)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_integral_and_prediction_build_no_points(self, kind):
         center = Quad(kind, 0.3, -0.2, 0.1, 0.4)
         loop = Loop.circle(center, 0.5, samples=1024, turns=-2)

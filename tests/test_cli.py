@@ -440,6 +440,17 @@ class TestFactor:
                 "--enumerate", "10")
         assert run_pkg(*args).stdout == run_pkg(*args).stdout
 
+    @pytest.mark.parametrize("coeffs,entry", [
+        ("[1, true]", "got True"), ("[1, [true, 0, 0, 0]]", "got [True, 0, 0, 0]"),
+        ("[1, [1, 0, false, 0]]", "got [1, 0, False, 0]"),
+        ('[1, ["1", 0, 0, 0]]', "got ['1', 0, 0, 0]")])
+    def test_non_number_coefficient_is_usage_error(self, coeffs, entry):
+        cp = run_pkg("factor", "--kind", "circular", "--coeffs", coeffs)
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+        assert ("coefficient must be a number or a 4-element list, " + entry
+                in cp.stderr)
+
     def test_bad_coeffs(self, capsys):
         code, _, err = run_main(capsys, "factor", "--kind", "circular",
                                 "--coeffs", "[1,0,")
@@ -665,8 +676,17 @@ class TestIntegrate:
          "samples must be an integer >= 8, got 64.0"),
         ('{"points": [[1,0,0,0], [0,1,0,0], [-1,0,0,0], [1,0,0,0]], '
          '"turns": -1}', "'turns'"),
+        ('{"center": [0,0,0,0], "radius": 1e400}',
+         "radius must be finite, got inf"),
+        ('{"center": [0,0,0,0], "radius": true}',
+         "radius must be a number, got True"),
+        ('{"center": [0,0,0,0], "radius": 0.5, "fixed_angle": -1e400}',
+         "fixed_angle must be finite, got -inf"),
+        ('{"center": [0,0,0,0], "radius": "0.5"}',
+         "radius must be a number, got '0.5'"),
     ], ids=["mistyped-key", "fractional-samples", "boolean-samples",
-            "float-samples", "points-with-turns"])
+            "float-samples", "points-with-turns", "infinite-radius",
+            "boolean-radius", "infinite-fixed-angle", "string-radius"])
     def test_bad_loop_spec_names_the_key_or_rule(self, spec, named):
         cp = run_pkg("integrate", "--kind", "circular", "--integrand", "pole",
                      "--pole", "0,0,0,0", "--loop", spec)

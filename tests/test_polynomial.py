@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import component_roots_oracle
 import enumerate_oracle
 from quadfield import (
     AlgebraKind,
@@ -31,7 +32,7 @@ from quadfield import (
     zero,
 )
 from quadfield import polynomial
-from quadfield.algebra_core import _IS_PLANE
+from quadfield.algebra_core import _IS_PLANE, _NODAL_SETS
 
 from conftest import KINDS, max_abs_diff, quads, random_quad
 
@@ -596,3 +597,123 @@ class TestRealFactorizations:
     def test_lone_complex_line_root_keeps_the_sorted_lists(self):
         lists = [[-1j, 2.0, 3.0], [1j, 2.0, 3.0]]
         assert polynomial._paired_orders(lists, (False, False)) is lists
+
+
+# -- one root solve per distinct component polynomial --------------------------
+
+SIGNED_ZERO = st.sampled_from((0.0, -0.0))
+SCALARS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, -4.0, 6.0)),
+                    st.floats(min_value=-3.0, max_value=3.0,
+                              allow_nan=False, allow_infinity=False))
+
+
+def scalar_coeffs(kind):
+    """Real coefficients x + (+-0, +-0, +-0): every component equal."""
+    return st.builds(Quad, st.just(kind), SCALARS, SIGNED_ZERO, SIGNED_ZERO,
+                     SIGNED_ZERO)
+
+
+def paired_line_coeffs():
+    """Hyperbolic (x, 0, z, 0): the lines s, s' and s'', s''' are equal."""
+    return st.builds(Quad, st.just(HYPERBOLIC), SCALARS, SIGNED_ZERO,
+                     SCALARS, SIGNED_ZERO)
+
+
+def hexed(result):
+    """Roots (type and components), residual and multiplicities in
+    float.hex, for a Factorization or a list of them; an error as its type
+    and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    if isinstance(result, list):
+        return [hexed(f) for f in result]
+
+    def h(v):
+        return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) \
+            else float(v).hex()
+    return ([(type(r).__name__, tuple(map(h, r.components)))
+             for r in result.roots], h(result.residual), result.multiplicities)
+
+
+def memo_and_oracle(fn, p):
+    """`fn(p)` hexed with the memoized root loop and with the oracle's."""
+    def run():
+        try:
+            return hexed(fn(p))
+        except QuadfieldError as exc:
+            return hexed(exc)
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomial, "_component_root_lists",
+                   component_roots_oracle.component_root_lists)
+        want = run()
+    return got, want
+
+
+def aberth_calls(monkeypatch, fn, p):
+    """How many times `fn(p)` runs `_aberth`."""
+    inner, calls = polynomial._aberth, []
+
+    def counted(coeffs, name):
+        calls.append(name)
+        return inner(coeffs, name)
+    with monkeypatch.context() as mp:
+        mp.setattr(polynomial, "_aberth", counted)
+        fn(p)
+    return len(calls)
+
+
+class TestOneSolvePerComponent:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(KINDS),
+           degree=st.integers(1, 5),
+           which=st.sampled_from(("scalar", "paired lines", "general")))
+    def test_factor_and_enumeration_match_one_solve_each(self, data, kind,
+                                                         degree, which):
+        if which == "paired lines":
+            kind, coeffs = HYPERBOLIC, paired_line_coeffs()
+        else:
+            coeffs = scalar_coeffs(kind) if which == "scalar" else quads(kind)
+        tail = data.draw(st.lists(coeffs, min_size=degree, max_size=degree))
+        p = Poly(kind, (one(kind), *tail))
+        got, want = memo_and_oracle(factor, p)
+        assert got == want
+        if degree <= 4:
+            got, want = memo_and_oracle(
+                lambda p: enumerate_factorizations(p, 5), p)
+            assert got == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_real_coefficients_are_solved_once(self, kind, monkeypatch):
+        p = upoly(kind, -4.0, 6.0, -4.0, 1.0)   # (u - 1)^4
+        assert aberth_calls(monkeypatch, factor, p) == 1
+        assert aberth_calls(monkeypatch, enumerate_factorizations, p) == 1
+        f = factor(p)
+        assert all(r == one(kind) for r in f.roots)
+        assert f.multiplicities == ((4, 4, 4, 4),) * len(_IS_PLANE[kind])
+        lists = polynomial._component_root_lists(
+            p, polynomial._component_coeffs(p))
+        assert len(set(map(id, lists))) == len(lists)   # none shared
+
+    def test_equal_pairs_of_lines_are_solved_once_each(self, monkeypatch):
+        p = Poly(HYPERBOLIC, (one(HYPERBOLIC), Quad(HYPERBOLIC, 0.5, 0, -1, 0),
+                              Quad(HYPERBOLIC, -2, 0, 0.25, 0)))
+        assert aberth_calls(monkeypatch, factor, p) == 2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_shared_failing_component_is_named_as_before(self, kind):
+        p = upoly(kind, 1.7e308)   # the same u + 1.7e308 on every component
+        got, want = memo_and_oracle(factor, p)
+        assert got == want == (
+            "NoConvergence", "root finder left the double range on the "
+            f"{_NODAL_SETS[kind][0]} component")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_distinct_components_are_solved_each(self, kind, monkeypatch):
+        p = Poly(kind, (one(kind), Quad(kind, 0.5, -0.3, 0.2, 0.7),
+                        Quad(kind, -1.0, 0.4, 0.9, -0.6)))
+        assert len(set(map(tuple, polynomial._component_coeffs(p)))) \
+            == len(_IS_PLANE[kind])
+        assert aberth_calls(monkeypatch, factor, p) == len(_IS_PLANE[kind])
+        assert aberth_calls(monkeypatch, enumerate_factorizations, p) \
+            == len(_IS_PLANE[kind])

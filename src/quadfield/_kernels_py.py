@@ -110,24 +110,30 @@ def join_polar(vp, vm, w1):
 # squared moduli.  Per part, both stay accurate near the nodal sets, where
 # the expanded quartic and the cubic adjugate formulas cancel.
 
-def reciprocals(parts):
+def reciprocals(parts, floor=None):
     """Per part: 1/s on a line, (a - ib)/(a^2 + b^2) on a plane a + ib; if
-    a^2 + b^2 is not a normal double, s * 1/(s*p) with s = 2^-600 or 2^600."""
+    a^2 + b^2 is not a normal double, s * 1/(s*p) with s = 2^-600 or 2^600.
+    With a ``floor``, None unless each part's s^2 or a finite a^2 + b^2 is a
+    double at least normal and above it."""
     out = []
     for p in parts:
         if p.__class__ is complex:
             a = p.real
             b = p.imag
             n = a * a + b * b
-            if _NORMAL <= n < _INF:
+            if _NORMAL <= n < _INF and (floor is None or n > floor):
                 out.append(complex(a / n, -b / n))
+            elif floor is not None:
+                return None
             else:
                 s = 2.0 ** -600 if n >= 1.0 else 2.0 ** 600
                 a, b = a * s, b * s
                 n = a * a + b * b
                 out.append(complex(a / n * s, -b / n * s))
-        else:
+        elif floor is None or floor < p * p >= _NORMAL:
             out.append(1.0 / p)
+        else:
+            return None
     return out
 
 

@@ -24,9 +24,12 @@ the forms, loops, matrices and polynomials in the other modules): a
 frozen ``__slots__`` class with a frozen dataclass's behaviour, so no
 module of the package imports ``dataclasses``.  ``Quad`` keeps its own
 ``__init__``, which runs ``__post_init__`` (kind check, float coercion,
-one NaN/inf test) exactly once.  ``_check_coeffs`` and ``_horner`` are
-the one check and the one Horner loop of the coefficient sequences of
-``polynomial.Poly`` and ``series.SeriesSpec``.
+one NaN/inf test; a ValueError names a bool or an int past the double
+range) exactly once, on outside input: a result computed from valid values
+(sums, products, inverses, plane-wise functions) is built by ``_quad``,
+which tests only for overflow.
+``_check_coeffs`` and ``_horner`` are the one check and the one Horner loop
+of the coefficient sequences of ``polynomial.Poly`` and ``series.SeriesSpec``.
 
 The formulas — per kind the unit products and the split and join, and
 the inverse and amplitude quartic read off the split — live in
@@ -190,13 +193,13 @@ class Quad(_Record):
         if kind.__class__ is not AlgebraKind:
             raise TypeError(f"kind must be AlgebraKind, got {kind!r}")
         if x.__class__ is not float:
-            x = float(x)
+            x = _real("x", x)
         if y.__class__ is not float:
-            y = float(y)
+            y = _real("y", y)
         if z.__class__ is not float:
-            z = float(z)
+            z = _real("z", z)
         if t.__class__ is not float:
-            t = float(t)
+            t = _real("t", t)
         # NaN or inf in any component makes the sum NaN.
         if (x - x) + (y - y) + (z - z) + (t - t) != 0.0:
             for name, v in zip("xyzt", (x, y, z, t)):
@@ -242,6 +245,31 @@ class Quad(_Record):
 
 _set_kind, _set_x, _set_y, _set_z, _set_t = (
     Quad.__dict__[name].__set__ for name in Quad.__slots__)
+_new = object.__new__
+
+
+def _real(name: str, v) -> float:
+    """A component that is not a float as one; a ValueError naming it for
+    a bool (as JSON true loads) or an int past the double range."""
+    if v.__class__ is bool:
+        raise ValueError(f"component {name}={v!r} is not a number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"component {name}={v!r} is not finite") from None
+
+
+def _quad(kind: AlgebraKind, x: float, y: float, z: float, t: float) -> Quad:
+    """Quad(kind, x, y, z, t) for floats computed from valid values."""
+    if (x - x) + (y - y) + (z - z) + (t - t) != 0.0:
+        return Quad(kind, x, y, z, t)   # raises, naming the component
+    u = _new(Quad)
+    _set_kind(u, kind)
+    _set_x(u, x)
+    _set_y(u, y)
+    _set_z(u, z)
+    _set_t(u, t)
+    return u
 
 
 def _coerce(v: "Quad | float", kind: AlgebraKind) -> Quad:
@@ -325,30 +353,32 @@ def _overflow(kind: AlgebraKind, what: str) -> ResultOverflow:
 
 def add(u: Quad, v: Quad) -> Quad:
     """Componentwise sum; kinds must match."""
-    _require_same_kind(u, v)
+    if u.kind is not v.kind:
+        _require_same_kind(u, v)
     try:
-        return Quad(u.kind, u.x + v.x, u.y + v.y, u.z + v.z, u.t + v.t)
+        return _quad(u.kind, u.x + v.x, u.y + v.y, u.z + v.z, u.t + v.t)
     except ValueError:
         raise _overflow(u.kind, "sum") from None
 
 
 def sub(u: Quad, v: Quad) -> Quad:
     """Componentwise difference; kinds must match."""
-    _require_same_kind(u, v)
+    if u.kind is not v.kind:
+        _require_same_kind(u, v)
     try:
-        return Quad(u.kind, u.x - v.x, u.y - v.y, u.z - v.z, u.t - v.t)
+        return _quad(u.kind, u.x - v.x, u.y - v.y, u.z - v.z, u.t - v.t)
     except ValueError:
         raise _overflow(u.kind, "difference") from None
 
 
 def neg(u: Quad) -> Quad:
-    return Quad(u.kind, -u.x, -u.y, -u.z, -u.t)
+    return _quad(u.kind, -u.x, -u.y, -u.z, -u.t)
 
 
 def scale(u: Quad, c: float) -> Quad:
     """Real scalar multiple c*u."""
     c = float(c)
-    return Quad(u.kind, c * u.x, c * u.y, c * u.z, c * u.t)
+    return _quad(u.kind, c * u.x, c * u.y, c * u.z, c * u.t)
 
 
 def mul(u: Quad, v: Quad) -> Quad:
@@ -357,10 +387,11 @@ def mul(u: Quad, v: Quad) -> Quad:
     Commutative (bitwise exactly), associative and distributive up to
     rounding.
     """
-    _require_same_kind(u, v)
+    if u.kind is not v.kind:
+        _require_same_kind(u, v)
     try:
-        return Quad(u.kind,
-                    *_MUL[u.kind](u.x, u.y, u.z, u.t, v.x, v.y, v.z, v.t))
+        return _quad(u.kind,
+                     *_MUL[u.kind](u.x, u.y, u.z, u.t, v.x, v.y, v.z, v.t))
     except ValueError:
         raise _overflow(u.kind, "product") from None
 
@@ -494,20 +525,28 @@ def singularity(u: Quad, tol: float = DEFAULT_TOL) -> SingularityReport:
 def inverse(u: Quad, tol: float = DEFAULT_TOL) -> Quad:
     """Multiplicative inverse: the join of the split parts' reciprocals.
 
-    One split gives both the nodal residuals and the reciprocals.
+    One split gives both the nodal residuals and the reciprocals, whose
+    a^2 + b^2 decide alone when each is a normal double above
+    4 tol^2 max(|u|^2, tol^2): every residual is then above 2 tol.
 
     Raises:
         SingularValue: if u is within tol (normalized) of any nodal set.
     """
     kind = u.kind
-    parts = _SPLIT[kind](u.x, u.y, u.z, u.t)
-    if min(_residuals(u, parts, tol)) <= tol:
-        report = singularity(u, tol)
-        raise SingularValue(
-            f"{u.kind} value {u.components} lies on nodal set(s) "
-            f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})"
-        )
-    return Quad(kind, *_JOIN[kind](*_impl.reciprocals(parts)))
+    x, y, z, t = u.x, u.y, u.z, u.t
+    parts = _SPLIT[kind](x, y, z, t)
+    s = x * x + y * y + z * z + t * t
+    inv = tol > 0.0 and _impl.reciprocals(
+        parts, 4.0 * tol * (tol * (s if s > tol * tol else tol * tol)))
+    if not inv:
+        if min(_residuals(u, parts, tol)) <= tol:
+            report = singularity(u, tol)
+            raise SingularValue(
+                f"{u.kind} value {u.components} lies on nodal set(s) "
+                f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})"
+            )
+        inv = _impl.reciprocals(parts)
+    return _quad(kind, *_JOIN[kind](*inv))
 
 
 def pow_int(u: Quad, m: int, tol: float = DEFAULT_TOL) -> Quad:

@@ -37,6 +37,7 @@ from .algebra_core import (
     _flatten,
     _join,
     _overflow,
+    _quad,
     _Record,
     _split_basis,
     modulus,
@@ -337,10 +338,11 @@ def _exp_parts(f: ExpForm) -> tuple:
         logs = plane_split(Quad(kind, math.log(f.mu), f.y1, f.z1, f.t1))
         return tuple(math.exp(v) for v in logs)
     if kind is AlgebraKind.POLAR:
+        rho = float(f.rho)   # _quad takes the joined parts as they are
         q_plus = math.tan(f.theta_plus) ** 0.25
         q_minus = math.tan(f.theta_minus) ** 0.25
-        return (f.rho * (_FOURTH_ROOT2 * q_minus / q_plus ** 3),
-                f.rho * (_FOURTH_ROOT2 * q_plus / q_minus ** 3),
+        return (rho * (_FOURTH_ROOT2 * q_minus / q_plus ** 3),
+                rho * (_FOURTH_ROOT2 * q_plus / q_minus ** 3),
                 cmath.rect(f.rho * (q_plus * q_minus / _FOURTH_ROOT2), f.phi))
     root_tan = math.sqrt(math.tan(f.psi))
     return (cmath.rect(f.rho * root_tan, f.phi),
@@ -356,7 +358,7 @@ def from_exp_form(f: ExpForm) -> Quad:
         ResultOverflow: the value lies beyond the range of a double.
     """
     try:
-        return plane_join(f.kind, _exp_parts(_checked(f)))
+        return _quad(f.kind, *_join(f.kind, _exp_parts(_checked(f))))
     except (OverflowError, ValueError):   # math.exp, or an infinite component
         raise _overflow(f.kind, "exp form value") from None
 

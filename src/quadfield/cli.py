@@ -95,11 +95,13 @@ def _is_number(v) -> bool:
 
 
 def _coeff_quad(kind: AlgebraKind, entry) -> Quad:
+    # Quad converts the entries: an int past the double range is its
+    # ValueError naming the component, not float()'s OverflowError here.
     if _is_number(entry):
-        return Quad(kind, float(entry), 0.0, 0.0, 0.0)
+        return Quad(kind, entry, 0.0, 0.0, 0.0)
     if (isinstance(entry, list) and len(entry) == 4
             and all(map(_is_number, entry))):
-        return Quad(kind, *map(float, entry))
+        return Quad(kind, *entry)
     raise _UsageError(
         f"coefficient must be a number or a 4-element list, got {entry!r}"
     )

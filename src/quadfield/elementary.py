@@ -29,8 +29,9 @@ from .algebra_core import (
     Quad,
     ResultOverflow,
     _domain_split,
+    _join,
+    _quad,
     _Record,
-    plane_join,
     plane_split,
 )
 
@@ -155,13 +156,13 @@ def _planewise(u: Quad, complex_fn, real_fn, parts=None) -> Quad:
             value, lies beyond the range of a double.
     """
     try:
-        return plane_join(u.kind, [
+        return _quad(u.kind, *_join(u.kind, [
             complex_fn(p) if p.__class__ is complex else real_fn(p)
             for p in (plane_split(u) if parts is None else parts)
-        ])
+        ]))
     except (OverflowError, ValueError):
         # math/cmath raise OverflowError; an infinite joined component
-        # makes Quad raise ValueError.
+        # makes _quad raise ValueError.
         raise ResultOverflow(
             f"{u.kind} {real_fn.__name__} of {u.components} exceeds the "
             f"range of a double") from None

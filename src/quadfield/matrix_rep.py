@@ -143,4 +143,7 @@ def block_diagonalize(u: Quad) -> Matrix4:
         else:
             m[5 * i] = p
             i += 1
-    return Matrix4(tuple(m))
+    # The entries are floats read off a Quad: nothing for Matrix4 to check.
+    blocks = Matrix4.__new__(Matrix4)
+    object.__setattr__(blocks, "entries", tuple(m))
+    return blocks

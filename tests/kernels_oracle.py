@@ -5,9 +5,30 @@ split into lines and planes and its join (``quadfield._kernels_py``).
 This module keeps the component formulas they replaced, each with the
 split and join inlined, so `tests/test_kernels.py` can check the derived
 kernels against them bit for bit.
+
+``inverse`` is ``algebra_core.inverse`` as it was before its nodal test
+read the reciprocals' own a^2 + b^2: the normalized residuals by
+``math.hypot`` first, then the reciprocals, and the result through the
+public ``Quad`` constructor.
 """
 
+from quadfield.algebra_core import (_JOIN, _SPLIT, DEFAULT_TOL, Quad,
+                                    SingularValue, _residuals, singularity)
+from quadfield._kernels_py import reciprocals
+
 _SQRT2 = 2.0 ** 0.5
+
+
+def inverse(u, tol=DEFAULT_TOL):
+    kind = u.kind
+    parts = _SPLIT[kind](u.x, u.y, u.z, u.t)
+    if min(_residuals(u, parts, tol)) <= tol:
+        report = singularity(u, tol)
+        raise SingularValue(
+            f"{u.kind} value {u.components} lies on nodal set(s) "
+            f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})"
+        )
+    return Quad(kind, *_JOIN[kind](*reciprocals(parts)))
 
 
 # -- amplitude quartics (rho^4 or nu) -----------------------------------

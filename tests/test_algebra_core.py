@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from quadfield import (
 from quadfield.algebra_core import BACKEND, _unit_products
 
 from conftest import (
+    COMPONENTS,
     KINDS,
     any_kind_quads,
     max_abs_diff,
@@ -121,9 +123,21 @@ class TestQuadContract:
             zero(AlgebraKind.POLAR))
 
     def test_int_components_coerced_to_float(self):
-        u = Quad(AlgebraKind.PLANAR, 1, -2, 0, True)
-        assert u.components == (1.0, -2.0, 0.0, 1.0)
+        u = Quad(AlgebraKind.PLANAR, 1, -2, 0, 3)
+        assert u.components == (1.0, -2.0, 0.0, 3.0)
         assert all(type(c) is float for c in u.components)
+
+    @pytest.mark.parametrize("index,name", list(enumerate("xyzt")))
+    @pytest.mark.parametrize("bad,text", [
+        (True, "=True is not a number"), (False, "=False is not a number"),
+        (10 ** 400, "=1000.* is not finite"), (-10 ** 309, "=-1000.* is not finite"),
+    ], ids=["true", "false", "int-1e400", "int-minus-1e309"])
+    def test_bool_or_out_of_range_int_names_component(self, index, name, bad,
+                                                       text):
+        comps = [0.5, 0.5, 0.5, 0.5]
+        comps[index] = bad
+        with pytest.raises(ValueError, match=f"^component {name}{text}$"):
+            Quad(AlgebraKind.PLANAR, *comps)
 
     def test_kind_must_be_algebra_kind(self):
         with pytest.raises(TypeError, match="kind must be AlgebraKind"):
@@ -159,9 +173,13 @@ class TestQuadContract:
             return hook(self, *args)
 
         monkeypatch.setattr(Quad, "__post_init__", counting)
-        mul(Quad(AlgebraKind.CIRCULAR, 1, 2, 3, 4),
-            Quad(AlgebraKind.CIRCULAR, 5, 6, 7, 8))
-        assert len(calls) == 3
+        product = mul(Quad(AlgebraKind.CIRCULAR, 1, 2, 3, 4),
+                      Quad(AlgebraKind.CIRCULAR, 5, 6, 7, 8))
+        # Each Quad(...) validates once; the product, computed from them,
+        # is not validated again.
+        assert len(calls) == 2
+        assert type(product) is Quad
+        assert product == Quad(AlgebraKind.CIRCULAR, *product.components)
 
 
 class TestRecordContract:
@@ -527,3 +545,94 @@ def test_overflowing_results_are_typed(kind):
     # a non-finite input is still rejected by Quad itself
     with pytest.raises(ValueError, match="not finite"):
         Quad(kind, math.inf, 0.0, 0.0, 0.0)
+
+
+# -- computed results are built without re-validation ----------------------
+# add, sub, neg, scale, mul, pow_int, inverse, the plane-wise functions,
+# from_exp_form and block_diagonalize build their results from components
+# computed from valid values, through a constructor that tests finiteness
+# only.  Each result must be exactly what the public constructor builds.
+
+WIDE = st.one_of(COMPONENTS, st.floats(allow_nan=False, allow_infinity=False),
+                 st.integers(-300, 300).map(lambda e: 1.5 * 10.0 ** e))
+
+
+def computed_results(kind, u, v, c, m):
+    """(name, call) for every function that builds a computed result."""
+    from quadfield import canonical, elementary, matrix_rep
+    return [
+        ("add", lambda: u + v), ("sub", lambda: u - v), ("neg", lambda: -u),
+        ("scale", lambda: c * u), ("mul", lambda: mul(u, v)),
+        ("pow_int", lambda: pow_int(u, m)), ("inverse", lambda: inverse(u)),
+        ("exp", lambda: elementary.exp(u)), ("log", lambda: elementary.log(u)),
+        ("pow_real", lambda: elementary.pow_real(u, c)),
+        ("cos", lambda: elementary.cos(u)), ("sin", lambda: elementary.sin(u)),
+        ("cosh", lambda: elementary.cosh(u)),
+        ("sinh", lambda: elementary.sinh(u)),
+        ("from_exp_form",
+         lambda: canonical.from_exp_form(canonical.exp_form(u))),
+        ("block_diagonalize", lambda: matrix_rep.block_diagonalize(u)),
+    ]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_computed_results_are_what_the_public_constructor_builds(kind, data):
+    from quadfield import QuadfieldError
+    from quadfield.matrix_rep import Matrix4
+    u, v = (data.draw(quads(kind, WIDE)) for _ in range(2))
+    c = data.draw(st.floats(-3.0, 3.0))
+    m = data.draw(st.integers(-3, 5))
+    for name, call in computed_results(kind, u, v, c, m):
+        try:
+            r = call()
+        except QuadfieldError:   # overflow, domain and nodal sets
+            continue
+        except ValueError as exc:   # scale lets Quad's error through as is
+            assert name == "scale", (name, exc)
+            assert re.fullmatch("component [xyzt]=-?inf is not finite",
+                                str(exc))
+            continue
+        rebuilt = (Matrix4(r.entries) if name == "block_diagonalize"
+                   else Quad(kind, *r.components))
+        assert type(r) is type(rebuilt) and r == rebuilt, name
+        assert stored(r) == stored(rebuilt), name
+
+
+def stored(record):
+    """The numbers a Quad or Matrix4 holds, as (type, float.hex) pairs."""
+    values = record.components if type(record) is Quad else record.entries
+    return [(type(x), float.hex(x)) for x in values]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_overflowing_computed_results_keep_their_messages(kind):
+    from quadfield import canonical, elementary
+    big = Quad(kind, 1e200, 1e200, 0.0, 0.0)
+    far = Quad(kind, 800.0, 0.0, 0.0, 0.0)
+    form = {
+        AlgebraKind.CIRCULAR: dict(rho=1e308, phi=0.0, chi=0.0, psi=0.1),
+        AlgebraKind.PLANAR: dict(rho=1e308, phi=0.0, chi=0.0, psi=0.1),
+        AlgebraKind.HYPERBOLIC: dict(mu=1e308, y1=1.0, z1=1.0, t1=1.0),
+        AlgebraKind.POLAR: dict(rho=1e308, theta_plus=0.1, theta_minus=0.1,
+                                phi=0.0),
+    }[kind]
+    suffix = "exceeds the range of a double"
+    for call, text in [
+        (lambda: mul(big, big), f"{kind} product {suffix}"),
+        (lambda: pow_int(big, 3), f"{kind} product {suffix}"),
+        (lambda: Quad(kind, 1e308, 0, 0, 0) + Quad(kind, 1e308, 0, 0, 0),
+         f"{kind} sum {suffix}"),
+        (lambda: Quad(kind, 1e308, 0, 0, 0) - Quad(kind, -1e308, 0, 0, 0),
+         f"{kind} difference {suffix}"),
+        (lambda: elementary.exp(far),
+         f"{kind} exp of (800.0, 0.0, 0.0, 0.0) {suffix}"),
+        (lambda: elementary.cosh(far),
+         f"{kind} cosh of (800.0, 0.0, 0.0, 0.0) {suffix}"),
+        (lambda: canonical.from_exp_form(canonical.ExpForm(kind, **form)),
+         f"{kind} exp form value {suffix}"),
+    ]:
+        with pytest.raises(ResultOverflow) as info:
+            call()
+        assert str(info.value) == text

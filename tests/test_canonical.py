@@ -366,6 +366,19 @@ OUT_OF_RANGE = {
 
 
 class TestExpFormRanges:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_other_number_types_give_float_components(self, kind):
+        # from_exp_form builds its Quad without converting the components,
+        # so the fields' number type must not reach them.
+        np = pytest.importorskip("numpy")
+        want = from_exp_form(ExpForm(kind=kind, **VALID_FIELDS[kind]))
+        for convert in (np.float64, np.float32):
+            u = from_exp_form(ExpForm(kind=kind, **{
+                name: convert(v) for name, v in VALID_FIELDS[kind].items()}))
+            assert all(type(c) is float for c in u.components), convert
+            if convert is np.float64:
+                assert u.components == want.components
+
     @pytest.mark.parametrize("kind,name", FIELD_CASES)
     def test_non_finite_field_is_domain_error(self, kind, name):
         for bad in (math.inf, -math.inf, math.nan):

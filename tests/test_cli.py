@@ -17,6 +17,9 @@ from quadfield.cli import COSEXP_MAX_ROWS, LOOP_MAX_SAMPLES, main
 # runs the same package, installed or not.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(quadfield.__file__))
 
+# A JSON integer of 401 digits, past the double range.
+BIG_INT = "1" + "0" * 400
+
 
 def run_python(*args, env=None):
     env = dict(os.environ if env is None else env)
@@ -451,6 +454,17 @@ class TestFactor:
         assert ("coefficient must be a number or a 4-element list, " + entry
                 in cp.stderr)
 
+    @pytest.mark.parametrize("coeffs,named", [
+        (f"[1, {BIG_INT}]", "component x=1000"),
+        (f"[1, [0, 0, -{BIG_INT}, 0]]", "component z=-1000"),
+        (f"[{BIG_INT}0, 1]", "component x=1000")],
+        ids=["scalar", "list-entry", "leading"])
+    def test_int_past_the_double_range_is_usage_error(self, coeffs, named):
+        cp = run_pkg("factor", "--kind", "circular", "--coeffs", coeffs)
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert "usage error" in cp.stderr and "Traceback" not in cp.stderr
+        assert named in cp.stderr and cp.stderr.endswith("0 is not finite\n")
+
     def test_bad_coeffs(self, capsys):
         code, _, err = run_main(capsys, "factor", "--kind", "circular",
                                 "--coeffs", "[1,0,")
@@ -684,9 +698,16 @@ class TestIntegrate:
          "fixed_angle must be finite, got -inf"),
         ('{"center": [0,0,0,0], "radius": "0.5"}',
          "radius must be a number, got '0.5'"),
+        ('{"center": [true,0,0,0], "radius": 0.5, "samples": 64}',
+         "component x=True is not a number"),
+        ('{"points": [[1,0,0,0], [0,1,0,false], [-1,0,0,0], [1,0,0,0]]}',
+         "component t=False is not a number"),
+        ('{"center": [0,%s,0,0], "radius": 0.5}' % BIG_INT,
+         "component y=1000"),
     ], ids=["mistyped-key", "fractional-samples", "boolean-samples",
             "float-samples", "points-with-turns", "infinite-radius",
-            "boolean-radius", "infinite-fixed-angle", "string-radius"])
+            "boolean-radius", "infinite-fixed-angle", "string-radius",
+            "boolean-center", "boolean-point", "center-int-past-range"])
     def test_bad_loop_spec_names_the_key_or_rule(self, spec, named):
         cp = run_pkg("integrate", "--kind", "circular", "--integrand", "pole",
                      "--pole", "0,0,0,0", "--loop", spec)

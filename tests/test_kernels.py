@@ -14,10 +14,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernels_oracle as O
+from quadfield import Quad, QuadfieldError, inverse
 from quadfield import _kernels_py as K
 
 from conftest import KINDS
@@ -103,3 +104,57 @@ def test_derived_kernels_match_the_written_out_formulas(kind, comps):
             a, b = Fraction(p.real), Fraction(p.imag)
             assert_close_to_exact(got.real, a / (a * a + b * b))
             assert_close_to_exact(got.imag, -b / (a * a + b * b))
+
+
+# -- inverse: the nodal test read off the reciprocals --------------------
+
+TOLS = st.sampled_from([1e-12, 1e-6, 1e-15, 1e-300, 0.0, -1.0])
+
+
+@st.composite
+def toward_nodal_sets(draw, kind):
+    """A quad whose split parts are each kept, set on their nodal set, or
+    scaled toward it by c * 10^-k, 0.3 <= c <= 3 and k one of 6, 8, 12,
+    15 and 16 (so residuals fall on both sides of every positive tol in
+    TOLS, and near it), and the whole scaled by up to 10^+-300."""
+    parts = list(getattr(K, f"split_{kind.value}")(
+        *(draw(st.floats(-2.0, 2.0)) for _ in range(4))))
+    for j, p in enumerate(parts):
+        k = draw(st.sampled_from([None, 0, 6, 8, 12, 15, 16]))
+        if k is not None:
+            parts[j] = p * (k and draw(st.floats(0.3, 3.0)) * 10.0 ** -k)
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300, 1e-160, 1e155])
+                 | st.integers(-300, 300).map(lambda e: 10.0 ** e))
+    comps = [c * scale for c in getattr(K, f"join_{kind.value}")(*parts)]
+    assume(all(map(math.isfinite, comps)))
+    return Quad(kind, *comps)
+
+
+def inverse_outcome(fn, u, tol):
+    """fn(u, tol) as its components' float.hex and types, or the type and
+    message of what it raised."""
+    try:
+        r = fn(u, tol)
+    except (QuadfieldError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (type(r).__name__, r.kind, tuple(c.hex() for c in r.components),
+            tuple(type(c).__name__ for c in r.components))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), tol=TOLS)
+@example(data=None, tol=1e-12)
+def test_inverse_matches_the_residual_test_oracle(kind, data, tol):
+    if data is None:   # the worked cases below, at every tolerance
+        cases = [Quad(kind, *c) for c in (
+            (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, 0.5, -0.5, -1.0),
+            (0.5, 0.5, 0.5, 0.5), (1e-310, 0.0, 0.0, 0.0),
+            (1e300, 1e300, -1e300, 5e299), (1e-300, 2e-300, 0.0, -1e-300))]
+        tols = [1e-12, 1e-6, 1e-15, 1e-300, 0.0, -1.0, math.nan, 1e200]
+    else:
+        cases, tols = [data.draw(toward_nodal_sets(kind))], [tol]
+    for u in cases:
+        for t in tols:
+            assert (inverse_outcome(inverse, u, t)
+                    == inverse_outcome(O.inverse, u, t)), (u, t)

@@ -27,9 +27,9 @@ module of the package imports ``dataclasses``.  ``Quad`` keeps its own
 one NaN/inf test; a ValueError names a bool or an int past the double
 range) exactly once, on outside input: a result computed from valid values
 (sums, products, inverses, plane-wise functions) is built by ``_quad``,
-which tests only for overflow.
-``_check_coeffs`` and ``_horner`` are the one check and the one Horner loop
-of the coefficient sequences of ``polynomial.Poly`` and ``series.SeriesSpec``.
+which tests only for overflow.  ``_check_coeffs`` and ``_horner`` are the
+one check and the one Horner loop of the coefficient sequences of
+``polynomial.Poly`` and ``series.SeriesSpec``.
 
 The formulas — per kind the unit products and the split and join, and
 the inverse and amplitude quartic read off the split — live in

@@ -17,18 +17,18 @@ the distance to those sets; ``inverse`` refuses to divide near them.
 ``plane_split`` maps each algebra onto its real lines and complex planes
 (each map a unital ring homomorphism) and ``plane_join`` maps back; the
 nodal residuals are the moduli of the split parts, ``inverse`` joins the
-parts' reciprocals and ``amplitude`` multiplies the parts, each plane by
-its squared modulus.  ``_Record`` is the one base of every record type
-in the package (``Quad``, ``Amplitude`` and ``SingularityReport`` here,
-the forms, loops, matrices and polynomials in the other modules): a
-frozen ``__slots__`` class with a frozen dataclass's behaviour, so no
-module of the package imports ``dataclasses``.  ``Quad`` keeps its own
-``__init__``, which runs ``__post_init__`` (kind check, float coercion,
-one NaN/inf test; a ValueError names a bool or an int past the double
-range) exactly once, on outside input: a result computed from valid values
-(sums, products, inverses, plane-wise functions) is built by ``_quad``,
-which tests only for overflow.  ``_check_coeffs`` and ``_horner`` are the
-one check and the one Horner loop of the coefficient sequences of
+parts' reciprocals, ``pow_int`` their powers, and ``amplitude`` multiplies
+the parts, each plane by its squared modulus.  ``_Record`` is the one base
+of every record type in the package (``Quad``, ``Amplitude`` and
+``SingularityReport`` here, the forms, loops, matrices and polynomials in
+the other modules): a frozen ``__slots__`` class with a frozen dataclass's
+behaviour, so no module of the package imports ``dataclasses``.  ``Quad``
+keeps its own ``__init__``, which runs ``__post_init__`` (kind check,
+float coercion, one NaN/inf test; a ValueError names a bool or an int past
+the double range) exactly once, on outside input: a result computed from
+valid values is built by ``_quad``, which tests only for overflow and
+raises ``ResultOverflow`` for it.  ``_check_coeffs`` and ``_horner`` are
+the one check and the one Horner loop of the coefficient sequences of
 ``polynomial.Poly`` and ``series.SeriesSpec``.
 
 The formulas — per kind the unit products and the split and join, and
@@ -259,10 +259,12 @@ def _real(name: str, v) -> float:
         raise ValueError(f"component {name}={v!r} is not finite") from None
 
 
-def _quad(kind: AlgebraKind, x: float, y: float, z: float, t: float) -> Quad:
-    """Quad(kind, x, y, z, t) for floats computed from valid values."""
+def _quad(kind: AlgebraKind, x: float, y: float, z: float, t: float,
+          what: str) -> Quad:
+    """Quad(kind, x, y, z, t) for floats computed from valid values, where
+    NaN or inf can only be an overflow: _overflow(kind, what) for it."""
     if (x - x) + (y - y) + (z - z) + (t - t) != 0.0:
-        return Quad(kind, x, y, z, t)   # raises, naming the component
+        raise _overflow(kind, what)
     u = _new(Quad)
     _set_kind(u, kind)
     _set_x(u, x)
@@ -270,6 +272,10 @@ def _quad(kind: AlgebraKind, x: float, y: float, z: float, t: float) -> Quad:
     _set_z(u, z)
     _set_t(u, t)
     return u
+
+
+def _overflow(kind: enum.Enum, what: str) -> ResultOverflow:
+    return ResultOverflow(f"{kind} {what} exceeds the range of a double")
 
 
 def _coerce(v: "Quad | float", kind: AlgebraKind) -> Quad:
@@ -343,42 +349,29 @@ def _unit_products(kind: AlgebraKind) -> tuple:
                  for row in table)
 
 
-# The operands of add, sub and mul are finite Quads, so a non-finite result
-# component (Quad raises ValueError on it) can only be an overflow; each
-# raises ResultOverflow for it.
-
-def _overflow(kind: AlgebraKind, what: str) -> ResultOverflow:
-    return ResultOverflow(f"{kind} {what} exceeds the range of a double")
-
-
 def add(u: Quad, v: Quad) -> Quad:
     """Componentwise sum; kinds must match."""
     if u.kind is not v.kind:
         _require_same_kind(u, v)
-    try:
-        return _quad(u.kind, u.x + v.x, u.y + v.y, u.z + v.z, u.t + v.t)
-    except ValueError:
-        raise _overflow(u.kind, "sum") from None
+    return _quad(u.kind, u.x + v.x, u.y + v.y, u.z + v.z, u.t + v.t, "sum")
 
 
 def sub(u: Quad, v: Quad) -> Quad:
     """Componentwise difference; kinds must match."""
     if u.kind is not v.kind:
         _require_same_kind(u, v)
-    try:
-        return _quad(u.kind, u.x - v.x, u.y - v.y, u.z - v.z, u.t - v.t)
-    except ValueError:
-        raise _overflow(u.kind, "difference") from None
+    return _quad(u.kind, u.x - v.x, u.y - v.y, u.z - v.z, u.t - v.t,
+                 "difference")
 
 
 def neg(u: Quad) -> Quad:
-    return _quad(u.kind, -u.x, -u.y, -u.z, -u.t)
+    return _quad(u.kind, -u.x, -u.y, -u.z, -u.t, "negation")
 
 
 def scale(u: Quad, c: float) -> Quad:
     """Real scalar multiple c*u."""
     c = float(c)
-    return _quad(u.kind, c * u.x, c * u.y, c * u.z, c * u.t)
+    return _quad(u.kind, c * u.x, c * u.y, c * u.z, c * u.t, "product")
 
 
 def mul(u: Quad, v: Quad) -> Quad:
@@ -389,11 +382,8 @@ def mul(u: Quad, v: Quad) -> Quad:
     """
     if u.kind is not v.kind:
         _require_same_kind(u, v)
-    try:
-        return _quad(u.kind,
-                     *_MUL[u.kind](u.x, u.y, u.z, u.t, v.x, v.y, v.z, v.t))
-    except ValueError:
-        raise _overflow(u.kind, "product") from None
+    return _quad(u.kind, *_MUL[u.kind](u.x, u.y, u.z, u.t, v.x, v.y, v.z, v.t),
+                 "product")
 
 
 def modulus(u: Quad) -> float:
@@ -522,15 +512,14 @@ def singularity(u: Quad, tol: float = DEFAULT_TOL) -> SingularityReport:
                              margin=margin)
 
 
-def inverse(u: Quad, tol: float = DEFAULT_TOL) -> Quad:
-    """Multiplicative inverse: the join of the split parts' reciprocals.
+def _reciprocals(u: Quad, tol: float) -> list:
+    """The reciprocals of u's split parts, after inverse's nodal test.
 
     One split gives both the nodal residuals and the reciprocals, whose
     a^2 + b^2 decide alone when each is a normal double above
-    4 tol^2 max(|u|^2, tol^2): every residual is then above 2 tol.
-
-    Raises:
-        SingularValue: if u is within tol (normalized) of any nodal set.
+    4 tol^2 max(|u|^2, tol^2): every residual is then above 2 tol.  Where
+    a part passes the double range, u/4 is split and its reciprocals are
+    scaled by 1/4, both exactly outside the subnormals.
     """
     kind = u.kind
     x, y, z, t = u.x, u.y, u.z, u.t
@@ -538,39 +527,52 @@ def inverse(u: Quad, tol: float = DEFAULT_TOL) -> Quad:
     s = x * x + y * y + z * z + t * t
     inv = tol > 0.0 and _impl.reciprocals(
         parts, 4.0 * tol * (tol * (s if s > tol * tol else tol * tol)))
-    if not inv:
-        if min(_residuals(u, parts, tol)) <= tol:
-            report = singularity(u, tol)
-            raise SingularValue(
-                f"{u.kind} value {u.components} lies on nodal set(s) "
-                f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})"
-            )
-        inv = _impl.reciprocals(parts)
-    return _quad(kind, *_JOIN[kind](*inv))
+    if inv:
+        return inv
+    q = u
+    if any(p - p for p in parts):   # an inf part; s is inf, so inv is None
+        q = scale(u, 0.25)
+        parts = plane_split(q)
+    if min(_residuals(q, parts, tol)) <= tol:
+        report = singularity(q, tol)
+        raise SingularValue(
+            f"{kind} value {u.components} lies on nodal set(s) "
+            f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})")
+    inv = _impl.reciprocals(parts)
+    return inv if q is u else [r / 4.0 if r.__class__ is float else
+                               complex(r.real / 4.0, r.imag / 4.0) for r in inv]
+
+
+def inverse(u: Quad, tol: float = DEFAULT_TOL) -> Quad:
+    """Multiplicative inverse: SingularValue within tol (normalized) of a
+    nodal set, ResultOverflow past the double range."""
+    return _quad(u.kind, *_JOIN[u.kind](*_reciprocals(u, tol)), "inverse")
 
 
 def pow_int(u: Quad, m: int, tol: float = DEFAULT_TOL) -> Quad:
-    """Integer power by binary exponentiation.
-
-    Negative exponents invert first and therefore raise SingularValue on
-    nodal sets; u**0 is 1 for every u including 0.
-    """
+    """Integer power: each split part (for m < 0 its reciprocal, so
+    SingularValue on the nodal sets) raised to |m|, joined once; u**0 is 1
+    for every u including 0, and u**1 is u.  ResultOverflow only past the
+    double range: an overflow retries at parts/4, the join times 4^|m|."""
     if m != int(m):
         raise TypeError(f"exponent must be an integer, got {m!r}")
     m = int(m)
-    if m < 0:
-        return pow_int(inverse(u, tol), -m)
-    if m == 0:
-        return one(u.kind)
-    result = None
-    base = u
-    while True:
-        if m & 1:
-            result = base if result is None else mul(result, base)
-        m >>= 1
-        if not m:
-            return result
-        base = mul(base, base)
+    kind = u.kind
+    if m in (0, 1):
+        return u if m else one(kind)
+    n = abs(m)
+    parts = _reciprocals(u, tol) if m < 0 else plane_split(u)
+    try:
+        x, y, z, t = _JOIN[kind](*[p ** n for p in parts])
+    except OverflowError:   # float **; complex ** gives nan or inf instead
+        x = y = z = t = math.inf
+    if (x - x) + (y - y) + (z - z) + (t - t) != 0.0:
+        try:
+            x, y, z, t = (math.ldexp(c, 2 * n) for c in
+                          _JOIN[kind](*[(p * 0.25) ** n for p in parts]))
+        except OverflowError:
+            raise _overflow(kind, "product") from None
+    return _quad(kind, x, y, z, t, "product")
 
 
 # -- coefficient sequences (polynomial.Poly, series.SeriesSpec) ----------

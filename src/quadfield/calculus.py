@@ -15,9 +15,9 @@ import math
 import sys
 import warnings
 
-from .algebra_core import AlgebraKind, Quad, QuadfieldError, modulus, zero
-from .algebra_core import (_IS_PLANE, _overflow, _Record, _require_same_kind,
-                           _split_basis, plane_join, plane_split)
+from .algebra_core import (_IS_PLANE, AlgebraKind, Quad, QuadfieldError,
+                           _join, _quad, _Record, _require_same_kind,
+                           _split_basis, modulus, plane_join, plane_split, zero)
 
 __all__ = [
     "Loop",
@@ -137,7 +137,7 @@ class Loop(_Record):
         if self.samples.__class__ is not int or self.samples < 8:
             raise ValueError(
                 f"samples must be an integer >= 8, got {self.samples!r}")
-        if self.turns.__class__ is not int or self.turns == 0:
+        if self.turns.__class__ is not int or not _finite("turns", self.turns):
             raise ValueError(f"turns must be a nonzero integer, got {self.turns!r}")
         kind = self.center.kind
         if kind in _CHARTED:
@@ -296,12 +296,9 @@ def integrate_loop(f, loop: Loop) -> Quad:
 
 def _join_turns(loop: Loop, totals: list, what: str) -> Quad:
     """Join split totals (a circle's: of one turn, times its turns)."""
-    try:
-        if loop.radius is not None and loop.turns != 1:
-            totals = [loop.turns * t for t in totals]
-        return plane_join(loop.kind, tuple(totals))
-    except (ValueError, OverflowError):
-        raise _overflow(loop.kind, what) from None
+    if loop.radius is not None and loop.turns != 1:
+        totals = [loop.turns * t for t in totals]
+    return _quad(loop.kind, *_join(loop.kind, totals), what)
 
 
 # -- winding and residues ----------------------------------------------------

@@ -167,10 +167,21 @@ def to_canonical(u: Quad) -> CanonicalCoords:
     return _CANONICAL_TYPE[u.kind](*[v / c for v in _flatten(plane_split(u))])
 
 
+def _finite_fields(record):
+    """record, after a ValueError naming its first NaN or inf float field."""
+    for name, v in zip(record.__match_args__, record._values()):
+        if v.__class__ is float and v - v:
+            raise ValueError(f"{type(record).__name__} field {name}={v!r} "
+                             "is not finite")
+    return record
+
+
 def from_canonical(c: CanonicalCoords) -> Quad:
-    """Inverse of :func:`to_canonical`."""
+    """Inverse of :func:`to_canonical`; ValueError naming a field that is
+    not finite, ResultOverflow past the double range."""
     kind = _KIND_OF_CANONICAL[type(c)]
-    return plane_join(kind, _regroup(c, _CANONICAL_SCALE[kind]))
+    parts = _regroup(_finite_fields(c), _CANONICAL_SCALE[kind])
+    return _quad(kind, *_join(kind, parts), "canonical value")
 
 
 def canonical_mul(c1: CanonicalCoords, c2: CanonicalCoords) -> CanonicalCoords:
@@ -358,9 +369,10 @@ def from_exp_form(f: ExpForm) -> Quad:
         ResultOverflow: the value lies beyond the range of a double.
     """
     try:
-        return _quad(f.kind, *_join(f.kind, _exp_parts(_checked(f))))
-    except (OverflowError, ValueError):   # math.exp, or an infinite component
+        parts = _exp_parts(_checked(f))
+    except OverflowError:   # math.exp
         raise _overflow(f.kind, "exp form value") from None
+    return _quad(f.kind, *_join(f.kind, parts), "exp form value")
 
 
 # -- trigonometric form ----------------------------------------------------
@@ -404,27 +416,19 @@ def trig_form(u: Quad) -> TrigForm:
 
 
 def from_trig_form(f: TrigForm) -> Quad:
-    """Reconstruct the Quad from its trigonometric form."""
-    kind = f.kind
+    """Reconstruct the Quad from its trigonometric form; ValueError naming
+    a field that is not finite, ResultOverflow past the double range."""
+    kind = _finite_fields(f).kind
     if kind in (AlgebraKind.CIRCULAR, AlgebraKind.PLANAR):
-        w1 = f.d * _SQRT2 * math.sin(f.psi) * complex(math.cos(f.phi),
-                                                      math.sin(f.phi))
-        w2 = f.d * _SQRT2 * math.cos(f.psi) * complex(math.cos(f.chi),
-                                                      math.sin(f.chi))
-        return plane_join(kind, (w1, w2))
-    if kind is AlgebraKind.HYPERBOLIC:
-        cp, sp_ = math.cos(f.psi), math.sin(f.psi)
-        return plane_join(
-            kind,
-            (
-                2.0 * f.d * cp * math.cos(f.phi),
-                2.0 * f.d * cp * math.sin(f.phi),
-                2.0 * f.d * sp_ * math.cos(f.chi),
-                2.0 * f.d * sp_ * math.sin(f.chi),
-            ),
-        )
-    vp = 2.0 * f.d * math.sin(f.theta) * math.cos(f.lam)
-    vm = 2.0 * f.d * math.sin(f.theta) * math.sin(f.lam)
-    mu_plus = _SQRT2 * f.d * math.cos(f.theta)
-    w1 = mu_plus * complex(math.cos(f.phi), math.sin(f.phi))
-    return plane_join(kind, (vp, vm, w1))
+        r = f.d * _SQRT2
+        parts = (cmath.rect(r * math.sin(f.psi), f.phi),
+                 cmath.rect(r * math.cos(f.psi), f.chi))
+    elif kind is AlgebraKind.HYPERBOLIC:   # the lines in pairs, as planes
+        r = 2.0 * f.d
+        parts = _flatten([cmath.rect(r * math.cos(f.psi), f.phi),
+                          cmath.rect(r * math.sin(f.psi), f.chi)])
+    else:
+        r = 2.0 * f.d * math.sin(f.theta)
+        parts = (r * math.cos(f.lam), r * math.sin(f.lam),
+                 cmath.rect(_SQRT2 * f.d * math.cos(f.theta), f.phi))
+    return _quad(kind, *_join(kind, parts), "trig form value")

@@ -30,6 +30,7 @@ from .algebra_core import (
     ResultOverflow,
     _domain_split,
     _join,
+    _overflow,
     _quad,
     _Record,
     plane_split,
@@ -60,7 +61,7 @@ class CosexpFamily(enum.Enum):
     PLANAR_F = "planar_f"
     POLAR_G = "polar_g"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
@@ -95,10 +96,7 @@ def cosexp(kind: CosexpKind, x: float) -> float:
     except OverflowError:
         value = math.inf
     if math.isinf(value):
-        raise ResultOverflow(
-            f"{kind.family.value} k={kind.k} at x={x!r} exceeds the range "
-            f"of a double"
-        )
+        raise _overflow(kind.family, f"k={kind.k} at x={x!r}")
     return value
 
 
@@ -159,13 +157,11 @@ def _planewise(u: Quad, complex_fn, real_fn, parts=None) -> Quad:
         return _quad(u.kind, *_join(u.kind, [
             complex_fn(p) if p.__class__ is complex else real_fn(p)
             for p in (plane_split(u) if parts is None else parts)
-        ]))
+        ]), "value")
     except (OverflowError, ValueError):
-        # math/cmath raise OverflowError; an infinite joined component
-        # makes _quad raise ValueError.
-        raise ResultOverflow(
-            f"{u.kind} {real_fn.__name__} of {u.components} exceeds the "
-            f"range of a double") from None
+        # also math/cmath's ValueError on a part that the split overflowed
+        what = f"{real_fn.__name__} of {u.components}"
+        raise _overflow(u.kind, what) from None
 
 
 def exp(u: Quad) -> Quad:

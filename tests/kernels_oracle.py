@@ -10,10 +10,16 @@ kernels against them bit for bit.
 read the reciprocals' own a^2 + b^2: the normalized residuals by
 ``math.hypot`` first, then the reciprocals, and the result through the
 public ``Quad`` constructor.
+
+``pow_int`` is ``algebra_core.pow_int`` as it was before it ran on the
+split: binary exponentiation over ``mul``, inverting first (with the
+library's ``inverse``) for a negative exponent.
 """
 
+from quadfield import algebra_core
 from quadfield.algebra_core import (_JOIN, _SPLIT, DEFAULT_TOL, Quad,
-                                    SingularValue, _residuals, singularity)
+                                    SingularValue, _residuals, mul, one,
+                                    singularity)
 from quadfield._kernels_py import reciprocals
 
 _SQRT2 = 2.0 ** 0.5
@@ -29,6 +35,25 @@ def inverse(u, tol=DEFAULT_TOL):
             f"{', '.join(report.nodal_sets)} (margin {report.margin:.3e})"
         )
     return Quad(kind, *_JOIN[kind](*reciprocals(parts)))
+
+
+def pow_int(u, m, tol=DEFAULT_TOL):
+    if m != int(m):
+        raise TypeError(f"exponent must be an integer, got {m!r}")
+    m = int(m)
+    if m < 0:
+        return pow_int(algebra_core.inverse(u, tol), -m)
+    if m == 0:
+        return one(u.kind)
+    result = None
+    base = u
+    while True:
+        if m & 1:
+            result = base if result is None else mul(result, base)
+        m >>= 1
+        if not m:
+            return result
+        base = mul(base, base)
 
 
 # -- amplitude quartics (rho^4 or nu) -----------------------------------

@@ -5,16 +5,17 @@ import json
 import math
 import pickle
 import random
-import re
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from quadfield import (
     AlgebraKind,
     Amplitude,
     Quad,
+    QuadfieldError,
     ResultOverflow,
     SingularityReport,
     SingularValue,
@@ -433,6 +434,29 @@ class TestInverse:
             assert singularity(u).singular
             assert singularity(v).singular
 
+    # y + z overflows in the split; y - z is 0, or one ulp of y, on rho_minus
+    @pytest.mark.parametrize("y", [1.2711610061536464e308,
+                                   math.nextafter(1.2711610061536464e308,
+                                                  math.inf)])
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_nodal_value_whose_split_overflows_is_singular(self, y, m):
+        u = Quad(AlgebraKind.CIRCULAR, 0.0, y, 1.2711610061536464e308, 0.0)
+        for call in (lambda: inverse(u), lambda: pow_int(u, m)):
+            with pytest.raises(SingularValue, match="rho_minus"):
+                call()
+
+    def test_inverse_where_a_line_part_overflows(self):
+        # s = x + y + z + t is inf: its reciprocal must not be read as 0
+        u = Quad(AlgebraKind.HYPERBOLIC, 1e308, 5e307, 3e307, 1e307)
+        x, y, z, t = map(Fraction, u.components)
+        r = [1 / p for p in (x + y + z + t, x - y + z - t, x + y - z - t,
+                             x - y - z + t)]
+        want = [(r[0] + r[1] + r[2] + r[3]) / 4, (r[0] - r[1] + r[2] - r[3]) / 4,
+                (r[0] + r[1] - r[2] - r[3]) / 4, (r[0] - r[1] - r[2] + r[3]) / 4]
+        for got in (inverse(u), pow_int(u, -1)):
+            err = max(abs(Fraction(g) - w) for g, w in zip(got.components, want))
+            assert err <= Fraction(1e-12) * max(map(abs, want))
+
 
 class TestSingularityReport:
     @pytest.mark.parametrize("kind", KINDS)
@@ -505,6 +529,58 @@ class TestPowInt:
         with pytest.raises(SingularValue):
             pow_int(u, -1)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zeroth_and_first_powers(self, kind):
+        for u in (zero(kind), Quad(kind, 1e308, 1e308, -1e308, 1e308)):
+            assert pow_int(u, 0) == one(kind)
+            assert pow_int(u, 1) is u
+        with pytest.raises(TypeError, match="integer"):
+            pow_int(one(kind), 2.5)
+
+    def test_power_finite_where_a_split_part_of_it_overflows(self):
+        # s^2 = 5.76e308 overflows; the join divides it by 4
+        u = Quad(AlgebraKind.HYPERBOLIC, 6e153, 6e153, 6e153, 6e153)
+        assert rel_diff(pow_int(u, 2), kernels_oracle.pow_int(u, 2)) < 1e-15
+
+    def test_power_finite_where_the_oracle_overflows_in_a_product(self):
+        # x^2 = 1.809e308 overflows inside mul; x^2 - y^2 = 1.559e308 does not
+        x, y = 1.345e154, 0.5e154
+        u = Quad(AlgebraKind.CIRCULAR, x, y, 0.0, 0.0)
+        with pytest.raises(ResultOverflow):
+            kernels_oracle.pow_int(u, 2)
+        want = (Fraction(x) ** 2 - Fraction(y) ** 2, 2 * Fraction(x) * Fraction(y))
+        got = pow_int(u, 2)
+        assert got.z == got.t == 0.0
+        for g, w in zip((got.x, got.y), want):
+            assert abs(Fraction(g) - w) <= Fraction(1e-15) * w
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(-8, 16))
+    def test_matches_the_binary_exponentiation_oracle(self, kind, data, m):
+        u = data.draw(nonsingular_quads(kind) if m < 0 else quads(kind))
+        assert rel_diff(pow_int(u, m), kernels_oracle.pow_int(u, m)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(-8, 16))
+    def test_fails_as_the_oracle_does_on_wide_inputs(self, kind, data, m):
+        u = data.draw(quads(kind, WIDE))
+        outcomes = []
+        for fn in (pow_int, kernels_oracle.pow_int):
+            try:
+                outcomes.append(fn(u, m))
+            except (QuadfieldError, ArithmeticError, ValueError) as exc:
+                outcomes.append(type(exc))
+        got, want = outcomes
+        if want is ResultOverflow and type(got) is Quad:
+            # the oracle overflowed in an intermediate product
+            event("oracle overflow where the split power is finite")
+        elif type(want) is Quad:
+            assert type(got) is Quad and rel_diff(got, want) <= 1e-12, got
+        else:
+            assert got is want
+
 
 class TestSerialization:
     @settings(max_examples=100)
@@ -550,9 +626,11 @@ def test_overflowing_results_are_typed(kind):
 
 # -- computed results are built without re-validation ----------------------
 # add, sub, neg, scale, mul, pow_int, inverse, the plane-wise functions,
-# from_exp_form and block_diagonalize build their results from components
-# computed from valid values, through a constructor that tests finiteness
-# only.  Each result must be exactly what the public constructor builds.
+# from_exp_form, from_trig_form, from_canonical and block_diagonalize build
+# their results from components computed from valid values, through a
+# constructor that tests finiteness only and raises ResultOverflow.  Each
+# result must be exactly what the public constructor builds, and each
+# failure a QuadfieldError.
 
 WIDE = st.one_of(COMPONENTS, st.floats(allow_nan=False, allow_infinity=False),
                  st.integers(-300, 300).map(lambda e: 1.5 * 10.0 ** e))
@@ -572,15 +650,27 @@ def computed_results(kind, u, v, c, m):
         ("sinh", lambda: elementary.sinh(u)),
         ("from_exp_form",
          lambda: canonical.from_exp_form(canonical.exp_form(u))),
+        ("from_trig_form", lambda: canonical.from_trig_form(
+            trig_fields(kind, abs(u.x), u.y, u.z, u.t))),
+        ("from_canonical", lambda: canonical.from_canonical(
+            canonical._CANONICAL_TYPE[kind](*u.components))),
         ("block_diagonalize", lambda: matrix_rep.block_diagonalize(u)),
     ]
+
+
+def trig_fields(kind, d, *angles):
+    """The TrigForm of the kind with modulus d and the three angles of its
+    chart, in field order."""
+    from quadfield.canonical import TrigForm
+    names = (("theta", "lam", "phi") if kind is AlgebraKind.POLAR
+             else ("phi", "chi", "psi"))
+    return TrigForm(kind, d, **dict(zip(names, angles)))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_computed_results_are_what_the_public_constructor_builds(kind, data):
-    from quadfield import QuadfieldError
     from quadfield.matrix_rep import Matrix4
     u, v = (data.draw(quads(kind, WIDE)) for _ in range(2))
     c = data.draw(st.floats(-3.0, 3.0))
@@ -589,15 +679,6 @@ def test_computed_results_are_what_the_public_constructor_builds(kind, data):
         try:
             r = call()
         except QuadfieldError:   # overflow, domain and nodal sets
-            continue
-        except (ValueError, ArithmeticError) as exc:
-            if name == "scale":   # lets Quad's error through as it is
-                assert re.fullmatch("component [xyzt]=-?inf is not finite",
-                                    str(exc))
-            else:   # a split part past the double range, as before
-                assert name in ("inverse", "pow_int"), (name, exc)
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    kernels_oracle.inverse(u)
             continue
         rebuilt = (Matrix4(r.entries) if name == "block_diagonalize"
                    else Quad(kind, *r.components))
@@ -637,7 +718,29 @@ def test_overflowing_computed_results_keep_their_messages(kind):
          f"{kind} cosh of (800.0, 0.0, 0.0, 0.0) {suffix}"),
         (lambda: canonical.from_exp_form(canonical.ExpForm(kind, **form)),
          f"{kind} exp form value {suffix}"),
-    ]:
+        (lambda: 2.0 * Quad(kind, 1e308, 0, 0, 0), f"{kind} product {suffix}"),
+        (lambda: inverse(Quad(kind, 1e-310, 0, 0, 0), 1e-300),
+         f"{kind} inverse {suffix}"),
+        (lambda: canonical.from_trig_form(
+            trig_fields(kind, 1.5e308, 0.1, 0.2, 0.7)),
+         f"{kind} trig form value {suffix}"),
+    ] + [
+        # a polar component is at most the largest field
+        (lambda: canonical.from_canonical(canonical._CANONICAL_TYPE[kind](
+            1.7e308, 0.0, 1.7e308, 0.0)), f"{kind} canonical value {suffix}"),
+    ] * (kind is not AlgebraKind.POLAR):
         with pytest.raises(ResultOverflow) as info:
             call()
         assert str(info.value) == text
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_finite_form_fields_are_refused_by_name(kind):
+    from quadfield import canonical
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="TrigForm field d=.* not finite"):
+            canonical.from_trig_form(trig_fields(kind, bad, 0.1, 0.2, 0.7))
+        name = canonical._CANONICAL_TYPE[kind].__slots__[2]
+        with pytest.raises(ValueError, match=f"field {name}=.* not finite"):
+            canonical.from_canonical(
+                canonical._CANONICAL_TYPE[kind](1.0, 0.0, bad, 0.0))

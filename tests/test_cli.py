@@ -262,6 +262,16 @@ class TestEval:
         assert cp.returncode == 2, cp.stderr
         assert json.loads(cp.stdout)["error"] == "ResultOverflow"
 
+    def test_inverse_past_the_double_range_is_a_json_error(self):
+        cp = run_pkg("eval", "--kind", "circular", "--op", "inverse",
+                     "--a", "1e-310,0,0,0",
+                     env={**os.environ, "QUADFIELD_TOL": "1e-300"})
+        assert cp.returncode == 2, cp.stderr
+        assert json.loads(cp.stdout) == {
+            "error": "ResultOverflow",
+            "message": "circular inverse exceeds the range of a double"}
+        assert "Traceback" not in cp.stderr
+
     def test_non_finite_input_is_usage_error(self, capsys):
         code, out, err = run_main(capsys, "eval", "--kind", "circular",
                                   "--op", "pow", "--m", "2",
@@ -704,10 +714,13 @@ class TestIntegrate:
          "component t=False is not a number"),
         ('{"center": [0,%s,0,0], "radius": 0.5}' % BIG_INT,
          "component y=1000"),
+        ('{"center": [0,0,0,0], "radius": 0.5, "turns": -%s}' % BIG_INT,
+         "turns must be finite, got -1000"),
     ], ids=["mistyped-key", "fractional-samples", "boolean-samples",
             "float-samples", "points-with-turns", "infinite-radius",
             "boolean-radius", "infinite-fixed-angle", "string-radius",
-            "boolean-center", "boolean-point", "center-int-past-range"])
+            "boolean-center", "boolean-point", "center-int-past-range",
+            "turns-past-range"])
     def test_bad_loop_spec_names_the_key_or_rule(self, spec, named):
         cp = run_pkg("integrate", "--kind", "circular", "--integrand", "pole",
                      "--pole", "0,0,0,0", "--loop", spec)

@@ -11,6 +11,7 @@ checked against exact rational arithmetic instead.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -156,5 +157,12 @@ def test_inverse_matches_the_residual_test_oracle(kind, data, tol):
         cases, tols = [data.draw(toward_nodal_sets(kind))], [tol]
     for u in cases:
         for t in tols:
-            assert (inverse_outcome(inverse, u, t)
-                    == inverse_outcome(O.inverse, u, t)), (u, t)
+            got = inverse_outcome(inverse, u, t)
+            want = inverse_outcome(O.inverse, u, t)
+            if want[0] == "ZeroDivisionError" or want[0] == "ValueError" and (
+                    re.fullmatch(r"component [xyzt]=\S+ is not finite",
+                                 want[1])):
+                # the oracle's untyped overflow, which is now typed
+                assert got[0] in ("ResultOverflow", "SingularValue"), (u, t)
+            else:
+                assert got == want, (u, t)
